@@ -10,27 +10,20 @@ import (
 // embedding x restricted to a working set S, with (Dx)_u maintained
 // incrementally for every u ∈ S so that one iteration costs O(|S|) for the
 // coordinate pick plus O(deg(i)+deg(j)) for the update — the costs quoted in
-// Section V-B.
+// Section V-B. x, the S marks and the (Dx)_u values live in the worker's dense
+// workspace (InS and Dx); release clears them again.
 type cdState struct {
 	g  *graph.Graph
-	x  *simplex.Vector
+	ws *simplex.Workspace
 	S  []int
-	in map[int]bool
-	dx map[int]float64 // (Dx)_u for u ∈ S
 }
 
-// An interrupted build leaves later dx entries unset; the descend loop polls
+// An interrupted build leaves later Dx entries at zero; the descend loop polls
 // the same State first and unwinds before reading them.
-func newCDState(g *graph.Graph, x *simplex.Vector, S []int, rs *runstate.State) *cdState {
-	st := &cdState{
-		g:  g,
-		x:  x,
-		S:  append([]int(nil), S...),
-		in: make(map[int]bool, len(S)),
-		dx: make(map[int]float64, len(S)),
-	}
+func newCDState(g *graph.Graph, ws *simplex.Workspace, S []int, rs *runstate.State) cdState {
+	st := cdState{g: g, ws: ws, S: S}
 	for _, u := range S {
-		st.in[u] = true
+		ws.InS[u] = true
 	}
 	for _, u := range S {
 		if rs.Checkpoint() {
@@ -38,11 +31,19 @@ func newCDState(g *graph.Graph, x *simplex.Vector, S []int, rs *runstate.State) 
 		}
 		var s float64
 		for _, nb := range g.Neighbors(u) {
-			s += nb.W * x.Get(nb.To)
+			s += nb.W * ws.Get(nb.To)
 		}
-		st.dx[u] = s
+		ws.Dx[u] = s
 	}
 	return st
+}
+
+// release returns the S marks and (Dx)_u entries of the workspace to zero.
+func (st *cdState) release() {
+	for _, u := range st.S {
+		st.ws.InS[u] = false
+		st.ws.Dx[u] = 0
+	}
 }
 
 // shiftMass sets x_u ← x_u + delta and propagates the change into every
@@ -51,10 +52,11 @@ func (st *cdState) shiftMass(u int, delta float64) {
 	if delta == 0 {
 		return
 	}
-	st.x.Set(u, st.x.Get(u)+delta)
+	ws := st.ws
+	ws.Set(u, ws.Get(u)+delta)
 	for _, nb := range st.g.Neighbors(u) {
-		if st.in[nb.To] {
-			st.dx[nb.To] += nb.W * delta
+		if ws.InS[nb.To] {
+			ws.Dx[nb.To] += nb.W * delta
 		}
 	}
 }
@@ -68,11 +70,11 @@ func (st *cdState) pick() (i, j int, gap float64, ok bool) {
 	i, j = -1, -1
 	var di, dj float64
 	for _, k := range st.S {
-		d := st.dx[k]
-		if st.x.Get(k) < 1 && (i == -1 || d > di) {
+		d, xk := st.ws.Dx[k], st.ws.Get(k)
+		if xk < 1 && (i == -1 || d > di) {
 			i, di = k, d
 		}
-		if st.x.Get(k) > 0 && (j == -1 || d < dj) {
+		if xk > 0 && (j == -1 || d < dj) {
 			j, dj = k, d
 		}
 	}
@@ -91,11 +93,11 @@ func (st *cdState) pick() (i, j int, gap float64, ok bool) {
 // collect the influence of the n−2 frozen coordinates. Returns whether x
 // actually moved.
 func (st *cdState) step(i, j int) bool {
-	xi, xj := st.x.Get(i), st.x.Get(j)
+	xi, xj := st.ws.Get(i), st.ws.Get(j)
 	C := xi + xj
 	dij := st.g.Weight(i, j)
-	bi := st.dx[i] - dij*xj
-	bj := st.dx[j] - dij*xi
+	bi := st.ws.Dx[i] - dij*xj
+	bj := st.ws.Dx[j] - dij*xi
 	gv := func(z float64) float64 {
 		return bi*z + bj*(C-z) + dij*z*(C-z)
 	}
@@ -155,16 +157,20 @@ func (st *cdState) descend(eps float64, maxIter int, rs *runstate.State) int {
 }
 
 // coordinateDescent is the package-level entry: run 2-CD over the working set
-// S on graph g, mutating x in place. Returns iterations used.
+// S on graph g, mutating the workspace embedding in place. Returns iterations
+// used. S must not alias the workspace's Support slice (WorkingSet is the
+// safe source) and must not change during the call.
 //
 // The cdState inner loops range over Neighbors directly — zero-copy on a
 // plain CSR graph but an allocation per call on a masked view — so a view
 // argument is flattened up front (Compact is a no-op for plain graphs; every
 // hot caller already passes one).
-func coordinateDescent(g *graph.Graph, x *simplex.Vector, S []int, eps float64, maxIter int, rs *runstate.State) int {
+func coordinateDescent(g *graph.Graph, ws *simplex.Workspace, S []int, eps float64, maxIter int, rs *runstate.State) int {
 	if len(S) <= 1 {
 		return 0
 	}
-	st := newCDState(g.Compact(), x, S, rs)
-	return st.descend(eps, maxIter, rs)
+	st := newCDState(g.Compact(), ws, S, rs)
+	iters := st.descend(eps, maxIter, rs)
+	st.release()
+	return iters
 }

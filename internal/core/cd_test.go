@@ -9,6 +9,13 @@ import (
 	"github.com/dcslib/dcs/internal/simplex"
 )
 
+// workspaceOf returns a fresh workspace holding x.
+func workspaceOf(x *simplex.Vector) *simplex.Workspace {
+	ws := simplex.NewWorkspace(x.N())
+	ws.Load(x)
+	return ws
+}
+
 // Property: one analytic 2-CD step (Eq. 9) matches the best value found by a
 // dense scan of z ∈ [0, C], and never decreases the objective.
 func TestStepMatchesDenseScan(t *testing.T) {
@@ -29,22 +36,23 @@ func TestStepMatchesDenseScan(t *testing.T) {
 			return true
 		}
 		x.Normalize()
-		st := newCDState(g, x, S, runstate.New(nil))
+		ws := workspaceOf(x)
+		st := newCDState(g, ws, S, runstate.New(nil))
 		i, j := S[rng.Intn(len(S))], S[rng.Intn(len(S))]
 		if i == j {
 			return true
 		}
-		before := simplex.Affinity(g, x)
-		C := x.Get(i) + x.Get(j)
+		before := ws.Affinity(g)
+		C := ws.Get(i) + ws.Get(j)
 		st.step(i, j)
-		after := simplex.Affinity(g, x)
+		after := ws.Affinity(g)
 		if after < before-1e-9 {
 			return false
 		}
 		// Dense scan over the moved pair from the ORIGINAL point: rebuild and
 		// compare. The step's result must be within epsilon of the scan max.
 		best := after
-		probe := x.Clone()
+		probe := ws.Vector()
 		for k := 0; k <= 400; k++ {
 			z := C * float64(k) / 400
 			probe.Set(i, z)
@@ -79,7 +87,8 @@ func TestCDStateBookkeeping(t *testing.T) {
 			return true
 		}
 		x.Normalize()
-		st := newCDState(g, x, S, runstate.New(nil))
+		ws := workspaceOf(x)
+		st := newCDState(g, ws, S, runstate.New(nil))
 		for iter := 0; iter < 30; iter++ {
 			i, j, _, ok := st.pick()
 			if !ok {
@@ -87,7 +96,7 @@ func TestCDStateBookkeeping(t *testing.T) {
 			}
 			st.step(i, j)
 			for _, u := range S {
-				if got, want := st.dx[u], simplex.DxEntry(g, x, u); !almostEqual(got, want) {
+				if got, want := ws.Dx[u], ws.DxEntry(g, u); !almostEqual(got, want) {
 					return false
 				}
 			}
@@ -105,7 +114,7 @@ func TestPickExtremes(t *testing.T) {
 	g := randomSignedGraph(rng, 8, 0.7, 5)
 	S := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	x := simplex.Uniform(8, S)
-	st := newCDState(g, x, S, runstate.New(nil))
+	st := newCDState(g, workspaceOf(x), S, runstate.New(nil))
 	i, j, gap, ok := st.pick()
 	if !ok {
 		t.Fatal("pick must succeed")
@@ -128,14 +137,14 @@ func TestPickExtremes(t *testing.T) {
 func TestDescendDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := randomSignedGraph(rng, 4, 0.5, 3)
-	x := simplex.Indicator(4, 1)
-	if it := coordinateDescent(g, x, []int{1}, 1e-9, 1000, runstate.New(nil)); it != 0 {
+	ws := workspaceOf(simplex.Indicator(4, 1))
+	if it := coordinateDescent(g, ws, []int{1}, 1e-9, 1000, runstate.New(nil)); it != 0 {
 		t.Fatalf("single-vertex set should do nothing, did %d iters", it)
 	}
-	if it := coordinateDescent(g, x, nil, 1e-9, 1000, runstate.New(nil)); it != 0 {
+	if it := coordinateDescent(g, ws, nil, 1e-9, 1000, runstate.New(nil)); it != 0 {
 		t.Fatalf("empty set should do nothing, did %d iters", it)
 	}
-	if x.Get(1) != 1 {
+	if ws.Get(1) != 1 {
 		t.Fatal("x must be untouched")
 	}
 }

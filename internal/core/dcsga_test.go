@@ -412,7 +412,9 @@ func TestCoordinateDescentMonotone(t *testing.T) {
 		}
 		x.Normalize()
 		before := simplex.Affinity(gd, x)
-		coordinateDescent(gd, x, S, 1e-9, 100000, runstate.New(nil))
+		ws := workspaceOf(x)
+		coordinateDescent(gd, ws, S, 1e-9, 100000, runstate.New(nil))
+		x = ws.Vector()
 		after := simplex.Affinity(gd, x)
 		if after < before-1e-9 {
 			return false
@@ -441,7 +443,9 @@ func TestExpansionFromExactKKT(t *testing.T) {
 	g := b.Build()
 	x := simplex.Uniform(4, []int{0, 1, 2})
 	before := simplex.Affinity(g, x)
-	res := expand(g, x, 1e-9, runstate.New(nil))
+	ws := workspaceOf(x)
+	res := expand(g, ws, 1e-9, runstate.New(nil))
+	x = ws.Vector()
 	if !res.expanded {
 		t.Fatal("expansion must trigger (vertex 3 improves)")
 	}
@@ -464,7 +468,7 @@ func TestExpandNoCandidates(t *testing.T) {
 	// Uniform on a maximum clique of the whole graph: no vertex improves.
 	g := graph.Complete(4, 1)
 	x := simplex.Uniform(4, []int{0, 1, 2, 3})
-	res := expand(g, x, 1e-9, runstate.New(nil))
+	res := expand(g, workspaceOf(x), 1e-9, runstate.New(nil))
 	if res.expanded {
 		t.Fatal("no expansion candidates should exist at the global optimum")
 	}
@@ -498,7 +502,9 @@ func TestReplicatorMonotone(t *testing.T) {
 		}
 		x.Normalize()
 		before := simplex.Affinity(g, x)
-		replicatorShrink(g, x, S, GAOptions{}.withDefaults(), runstate.New(nil))
+		ws := workspaceOf(x)
+		replicatorShrink(g, ws, S, GAOptions{}.withDefaults(), runstate.New(nil))
+		x = ws.Vector()
 		after := simplex.Affinity(g, x)
 		return after >= before-1e-9 && math.Abs(x.Sum()-1) < 1e-6
 	}

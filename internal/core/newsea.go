@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/dcslib/dcs/internal/cores"
 	"github.com/dcslib/dcs/internal/graph"
@@ -85,18 +87,21 @@ func initBounds(gdp *graph.Graph, rs *runstate.State) []float64 {
 }
 
 // runInit performs one initialization of the DCSGA pipeline: x = e_u, SEACD
-// (or SEA) to a KKT point on GD+, then Refinement to a positive clique.
-func runInit(gdp *graph.Graph, u int, useReplicator bool, opt GAOptions, rs *runstate.State) (*simplex.Vector, GAStats) {
-	x := simplex.Indicator(gdp.N(), u)
+// (or SEA) to a KKT point on GD+, then Refinement to a positive clique. It
+// runs on the calling worker's workspace ws, resized to GD+ and emptied first,
+// and returns the result as a compact vector.
+func runInit(gdp *graph.Graph, ws *simplex.Workspace, u int, useReplicator bool, opt GAOptions, rs *runstate.State) (*simplex.Vector, GAStats) {
+	ws.Reset(gdp.N())
+	ws.Set(u, 1)
 	var st GAStats
 	if useReplicator {
-		st = seaRS(gdp, x, opt, rs)
+		st = seaRS(gdp, ws, opt, rs)
 	} else {
-		st = seacdRS(gdp, x, opt, rs)
+		st = seacdRS(gdp, ws, opt, rs)
 	}
-	st.RefineSteps += refineRS(gdp, x, opt, rs)
-	pruneTiny(gdp, x, opt, rs)
-	return x, st
+	st.RefineSteps += refineRS(gdp, ws, opt, rs)
+	pruneTiny(gdp, ws, opt, rs)
+	return ws.Vector(), st
 }
 
 // NewSEA is Algorithm 5: the full DCSGA solver with the smart-initialization
@@ -151,6 +156,7 @@ func newSEARS(gd *graph.Graph, opt GAOptions, rs *runstate.State) GAResult {
 		res.Interrupted = rs.Interrupted()
 		return res
 	}
+	ws := simplex.NewWorkspace(n)
 	for _, u := range order {
 		if mu[u] <= bestF {
 			break
@@ -158,7 +164,7 @@ func newSEARS(gd *graph.Graph, opt GAOptions, rs *runstate.State) GAResult {
 		if rs.Cancelled() {
 			break
 		}
-		x, st := runInit(gdp, u, false, opt, rs)
+		x, st := runInit(gdp, ws, u, false, opt, rs)
 		stats.add(st)
 		f := simplex.Affinity(gdp, x)
 		if rs.Interrupted() && !gd.IsPositiveClique(x.Support()) {
@@ -186,9 +192,19 @@ func newSEARS(gd *graph.Graph, opt GAOptions, rs *runstate.State) GAResult {
 // where the sequential loop would have stopped, so it and everything after it
 // are discarded (their speculative work is wasted, their stats never counted)
 // and the search ends. Committed results, bestF trajectory and Stats are
-// therefore bitwise identical to the sequential loop at every degree.
+// therefore bitwise identical to the sequential loop at every degree. Batch
+// slot i always runs on workspace wss[i]: one slot per worker, and a batch
+// joins before the next one starts, so no workspace is ever shared.
 func newSEAPar(gd, gdp *graph.Graph, opt GAOptions, rs *runstate.State, workers int,
 	order []int, mu []float64, best **simplex.Vector, bestF *float64, stats *GAStats) {
+	wss := make([]*simplex.Workspace, workers)
+	for i := range wss {
+		wss[i] = simplex.NewWorkspace(gdp.N())
+	}
+	// Per-slot outcomes, reused by every batch like the workspaces.
+	xs := make([]*simplex.Vector, workers)
+	sts := make([]GAStats, workers)
+	cut := make([]bool, workers)
 	idx := 0
 	for idx < len(order) {
 		if mu[order[idx]] <= *bestF {
@@ -202,16 +218,13 @@ func newSEAPar(gd, gdp *graph.Graph, opt GAOptions, rs *runstate.State, workers 
 			end = len(order)
 		}
 		batch := order[idx:end]
-		xs := make([]*simplex.Vector, len(batch))
-		sts := make([]GAStats, len(batch))
-		cut := make([]bool, len(batch))
 		par.Run(workers, len(batch), func(i int) {
 			wrs := rs.Fork()
-			xs[i], sts[i] = runInit(gdp, batch[i], false, opt, wrs)
+			xs[i], sts[i] = runInit(gdp, wss[i], batch[i], false, opt, wrs)
 			cut[i] = wrs.Interrupted()
 		})
 		anyCut := false
-		for _, c := range cut {
+		for _, c := range cut[:len(batch)] {
 			if c {
 				anyCut = true
 				rs.Cancelled() // latch the caller's state (context is done)
@@ -304,15 +317,18 @@ type initResult struct {
 // (their results stay nil) rather than each burning a full checkpoint
 // interval. The interrupted flag aggregates the workers' latches — precise:
 // a cancellation that lands only after every init completed reports false.
+// Workers claim start indices from a shared counter, and each owns one
+// workspace, reused across all of its inits.
 func forEachInit(gdp *graph.Graph, starts []int, useReplicator bool, opt GAOptions, rs *runstate.State) ([]initResult, bool) {
 	results := make([]initResult, len(starts))
 	workers := opt.Parallelism
 	if workers <= 1 || len(starts) < 2 {
+		ws := simplex.NewWorkspace(gdp.N())
 		for i, u := range starts {
 			if rs.Cancelled() {
 				break
 			}
-			x, st := runInit(gdp, u, useReplicator, opt, rs)
+			x, st := runInit(gdp, ws, u, useReplicator, opt, rs)
 			results[i] = initResult{x: x, st: st}
 		}
 		return results, rs.Interrupted()
@@ -321,7 +337,7 @@ func forEachInit(gdp *graph.Graph, starts []int, useReplicator bool, opt GAOptio
 		workers = len(starts)
 	}
 	var wg sync.WaitGroup
-	next := make(chan int)
+	var next atomic.Int64 // the next start index to claim
 	states := make([]*runstate.State, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -329,19 +345,17 @@ func forEachInit(gdp *graph.Graph, starts []int, useReplicator bool, opt GAOptio
 		states[w] = wrs
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				if wrs.Cancelled() {
-					continue // keep draining so the feeder never blocks
+			ws := simplex.NewWorkspace(gdp.N())
+			for !wrs.Cancelled() {
+				i := int(next.Add(1)) - 1
+				if i >= len(starts) {
+					return
 				}
-				x, st := runInit(gdp, starts[i], useReplicator, opt, wrs)
+				x, st := runInit(gdp, ws, starts[i], useReplicator, opt, wrs)
 				results[i] = initResult{x: x, st: st}
 			}
 		}()
 	}
-	for i := range starts {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 	interrupted := rs.Interrupted()
 	for _, wrs := range states {
@@ -365,10 +379,11 @@ type Clique struct {
 // weighting of its members (the per-keyword weights of Table V).
 func CliqueEmbedding(gd *graph.Graph, S []int) *simplex.Vector {
 	rs := runstate.New(nil)
-	x := simplex.Uniform(gd.N(), S)
-	coordinateDescent(gd, x, S, 1e-9, 100000, rs)
-	pruneTiny(gd, x, GAOptions{}, rs)
-	return x
+	ws := simplex.NewWorkspace(gd.N())
+	ws.Load(simplex.Uniform(gd.N(), S))
+	coordinateDescent(gd, ws, S, 1e-9, 100000, rs)
+	pruneTiny(gd, ws, GAOptions{}, rs)
+	return ws.Vector()
 }
 
 // CollectCliques runs SEACD+Refine from every vertex of GD+ and returns the
@@ -454,35 +469,32 @@ func removeSubsets(cs []Clique, rs *runstate.State) []Clique {
 	// Sort by size descending; keep a clique only if it is not a subset of an
 	// already-kept one.
 	sort.Slice(cs, func(i, j int) bool { return len(cs[i].S) > len(cs[j].S) })
-	var kept []Clique
-	var keptSets []map[int]bool
+	kept := make([]Clique, 0, len(cs))
 	for _, c := range cs {
 		if rs.Checkpoint() {
 			break // kept so far are all maximal among those examined
 		}
 		sub := false
-		for _, ks := range keptSets {
-			all := true
-			for _, v := range c.S {
-				if !ks[v] {
-					all = false
-					break
-				}
-			}
-			if all {
+		for _, k := range kept {
+			if sortedSubset(c.S, k.S) {
 				sub = true
 				break
 			}
 		}
-		if sub {
-			continue
+		if !sub {
+			kept = append(kept, c)
 		}
-		set := make(map[int]bool, len(c.S))
-		for _, v := range c.S {
-			set[v] = true
-		}
-		kept = append(kept, c)
-		keptSets = append(keptSets, set)
 	}
 	return kept
+}
+
+// sortedSubset reports whether a ⊆ b, where b is in increasing order (a
+// support is).
+func sortedSubset(a, b []int) bool {
+	for _, v := range a {
+		if _, ok := slices.BinarySearch(b, v); !ok {
+			return false
+		}
+	}
+	return true
 }

@@ -22,18 +22,19 @@ import (
 // "not adjacent" means. x is mutated in place. Returns the number of
 // vertex-removal steps.
 func Refine(gdp *graph.Graph, x *simplex.Vector, opt GAOptions) int {
-	return refineRS(gdp, x, opt, runstate.New(nil))
+	var steps int
+	onWorkspace(x, func(ws *simplex.Workspace) { steps = refineRS(gdp, ws, opt, runstate.New(nil)) })
+	return steps
 }
 
-func refineRS(gdp *graph.Graph, x *simplex.Vector, opt GAOptions, rs *runstate.State) int {
+func refineRS(gdp *graph.Graph, ws *simplex.Workspace, opt GAOptions, rs *runstate.State) int {
 	opt = opt.withDefaults()
 	steps := 0
 	for {
 		if rs.Checkpoint() {
 			return steps // cancelled: x may not be a positive clique yet
 		}
-		S := x.Support()
-		u, v, ok := firstNonAdjacentPair(gdp, S)
+		u, v, ok := firstNonAdjacentPair(gdp, ws.Support())
 		if !ok {
 			return steps // support is a clique in GD+
 		}
@@ -42,14 +43,14 @@ func refineRS(gdp *graph.Graph, x *simplex.Vector, opt GAOptions, rs *runstate.S
 		// Δ = 2·x_v·((Dx)_u − (Dx)_v), which is ≥ −ε at an ε-local-KKT point;
 		// transfer toward the larger gradient so the move is non-decreasing
 		// even at finite precision.
-		if simplex.DxEntry(gdp, x, u) < simplex.DxEntry(gdp, x, v) {
+		if ws.DxEntry(gdp, u) < ws.DxEntry(gdp, v) {
 			u, v = v, u
 		}
-		x.Set(u, x.Get(u)+x.Get(v))
-		x.Set(v, 0)
-		S = x.Support()
+		ws.Set(u, ws.Get(u)+ws.Get(v))
+		ws.Set(v, 0)
+		S := ws.WorkingSet()
 		eps := opt.EpsBase / float64(max(len(S), 1))
-		coordinateDescent(gdp, x, S, eps, opt.MaxShrinkIter, rs)
+		coordinateDescent(gdp, ws, S, eps, opt.MaxShrinkIter, rs)
 	}
 }
 
@@ -59,35 +60,38 @@ func refineRS(gdp *graph.Graph, x *simplex.Vector, opt GAOptions, rs *runstate.S
 // weight is 0) and only add noise to the reported support. After dropping
 // them the embedding is renormalized and re-descended to a local KKT point on
 // the smaller support, so the objective change is O(ε).
-func pruneTiny(gdp *graph.Graph, x *simplex.Vector, opt GAOptions, rs *runstate.State) {
+func pruneTiny(gdp *graph.Graph, ws *simplex.Workspace, opt GAOptions, rs *runstate.State) {
 	opt = opt.withDefaults()
 	for {
 		if rs.Checkpoint() {
 			return
 		}
+		supp := ws.Support()
 		var maxE float64
-		x.Visit(func(u int, xu float64) {
-			if xu > maxE {
+		for _, u := range supp {
+			if xu := ws.Get(u); xu > maxE {
 				maxE = xu
 			}
-		})
+		}
 		thr := 1e-3 * maxE
-		var drop []int
-		x.Visit(func(u int, xu float64) {
-			if xu < thr {
-				drop = append(drop, u)
+		drop := 0
+		for _, u := range supp {
+			if ws.Get(u) < thr {
+				drop++
 			}
-		})
-		if len(drop) == 0 || len(drop) >= x.SupportSize() {
+		}
+		if drop == 0 || drop >= len(supp) {
 			return
 		}
-		for _, u := range drop {
-			x.Set(u, 0)
+		for _, u := range supp {
+			if ws.Get(u) < thr {
+				ws.Set(u, 0)
+			}
 		}
-		x.Normalize()
-		S := x.Support()
+		ws.Normalize()
+		S := ws.WorkingSet()
 		eps := opt.EpsBase / float64(max(len(S), 1))
-		coordinateDescent(gdp, x, S, eps, opt.MaxShrinkIter, rs)
+		coordinateDescent(gdp, ws, S, eps, opt.MaxShrinkIter, rs)
 	}
 }
 

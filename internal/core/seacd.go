@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/dcslib/dcs/internal/graph"
 	"github.com/dcslib/dcs/internal/runstate"
@@ -71,16 +71,16 @@ func (s *GAStats) add(o GAStats) {
 	s.RefineSteps += o.RefineSteps
 }
 
-// shrinkFunc runs one shrink stage on the working set S, mutating x toward a
-// local KKT point, and returns the iterations spent. rs carries the run's
-// cancellation checkpoint into the iteration loop.
-type shrinkFunc func(g *graph.Graph, x *simplex.Vector, S []int, opt GAOptions, rs *runstate.State) int
+// shrinkFunc runs one shrink stage on the working set S, mutating the
+// workspace embedding toward a local KKT point, and returns the iterations
+// spent. rs carries the run's cancellation checkpoint into the iteration loop.
+type shrinkFunc func(g *graph.Graph, ws *simplex.Workspace, S []int, opt GAOptions, rs *runstate.State) int
 
 // cdShrink is the paper's 2-coordinate-descent shrink stage with the correct
 // convergence condition max∇ − min∇ ≤ EpsBase/|S|.
-func cdShrink(g *graph.Graph, x *simplex.Vector, S []int, opt GAOptions, rs *runstate.State) int {
+func cdShrink(g *graph.Graph, ws *simplex.Workspace, S []int, opt GAOptions, rs *runstate.State) int {
 	eps := opt.EpsBase / float64(max(len(S), 1))
-	return coordinateDescent(g, x, S, eps, opt.MaxShrinkIter, rs)
+	return coordinateDescent(g, ws, S, eps, opt.MaxShrinkIter, rs)
 }
 
 // replicatorShrink is the original SEA shrink stage (Appendix A, Eq. 12):
@@ -89,13 +89,16 @@ func cdShrink(g *graph.Graph, x *simplex.Vector, S []int, opt GAOptions, rs *run
 // (the replicator breaks on negative entries — the very reason the paper
 // introduces coordinate descent). The loose condition is faithful to [18] and
 // is what produces the expansion errors Table VII reports.
-func replicatorShrink(g *graph.Graph, x *simplex.Vector, S []int, opt GAOptions, rs *runstate.State) int {
-	in := make(map[int]bool, len(S))
+//
+// S is marked in the workspace's InS; each iteration stages the next x_u in
+// Dx[u] (all of them are needed before the first one may overwrite x) and
+// then applies the normalized values in place.
+func replicatorShrink(g *graph.Graph, ws *simplex.Workspace, S []int, opt GAOptions, rs *runstate.State) int {
 	for _, u := range S {
-		in[u] = true
+		ws.InS[u] = true
 	}
 	iters := 0
-	f := simplex.Affinity(g, x)
+	f := ws.Affinity(g)
 	for iters < opt.MaxReplicatorIter {
 		if f <= 0 {
 			break // dynamic undefined (single vertex / no positive mass pairs)
@@ -104,35 +107,41 @@ func replicatorShrink(g *graph.Graph, x *simplex.Vector, S []int, opt GAOptions,
 			break
 		}
 		iters++
-		next := simplex.New(x.N())
 		var sum float64
-		x.Visit(func(u int, xu float64) {
-			if !in[u] {
-				return
+		supp := ws.Support()
+		for _, u := range supp {
+			if !ws.InS[u] {
+				continue
 			}
 			var dxu float64
 			g.VisitNeighbors(u, func(v int, w float64) {
-				dxu += w * x.Get(v)
+				dxu += w * ws.Get(v)
 			})
-			v := xu * dxu / f
-			if v > 0 {
-				next.Set(u, v)
+			if v := ws.Get(u) * dxu / f; v > 0 {
+				ws.Dx[u] = v
 				sum += v
 			}
-		})
+		}
 		if sum <= 0 {
 			break
 		}
 		// Normalize: the replicator preserves Σx=1 exactly in theory; guard
-		// against floating-point drift.
-		next.Visit(func(u int, v float64) { next.Set(u, v/sum) })
-		*x = *next
-		fNew := simplex.Affinity(g, x)
+		// against floating-point drift. Vertices outside S or with no
+		// positive next value stage 0 and leave the support.
+		for _, u := range supp {
+			v := ws.Dx[u]
+			ws.Dx[u] = 0
+			ws.Set(u, v/sum)
+		}
+		fNew := ws.Affinity(g)
 		if fNew-f <= opt.ReplicatorEps {
 			f = fNew
 			break
 		}
 		f = fNew
+	}
+	for _, u := range S {
+		ws.InS[u] = false
 	}
 	return iters
 }
@@ -164,33 +173,51 @@ type expandResult struct {
 // *decrease* — exactly the "errors in Expansion" that Section V-C and
 // Table VII report for SEA+Refine. kktTol must be the precision the shrink
 // stage actually guarantees.
-func expand(g *graph.Graph, x *simplex.Vector, kktTol float64, rs *runstate.State) expandResult {
-	f := simplex.Affinity(g, x)
+//
+// The boundary sums (Dx)_i accumulate in the workspace's Acc over the marked
+// set Touched = Sx ∪ N(Sx); Z and γ live in InZ, Z and Gamma. All of them are
+// cleared again before expand returns.
+func expand(g *graph.Graph, ws *simplex.Workspace, kktTol float64, rs *runstate.State) expandResult {
+	defer clearExpand(ws)
+	f := ws.Affinity(g)
 	// (Dx)_i for every vertex touching the support, plus the support itself.
-	acc := make(map[int]float64)
-	x.Visit(func(u int, xu float64) {
-		acc[u] += 0
+	touch := func(v int) {
+		if !ws.InS[v] {
+			ws.InS[v] = true
+			ws.Touched = append(ws.Touched, v)
+		}
+	}
+	supp := ws.Support()
+	for _, u := range supp {
+		if rs.Checkpoint() {
+			return expandResult{} // nothing moved yet, as on the bail below
+		}
+		xu := ws.Get(u)
+		touch(u)
+		ws.Acc[u] += 0
 		g.VisitNeighbors(u, func(v int, w float64) {
-			acc[v] += w * xu
+			touch(v)
+			ws.Acc[v] += w * xu
 		})
-	})
+	}
 	if kktTol < 1e-12 {
 		kktTol = 1e-12 // numeric floor so round-off never triggers expansion
 	}
-	var zs []int
-	gamma := make(map[int]float64)
-	for i, dxi := range acc {
-		if dxi > f+kktTol {
-			zs = append(zs, i)
-			gamma[i] = dxi - f
+	for _, i := range ws.Touched {
+		if dxi := ws.Acc[i]; dxi > f+kktTol {
+			ws.Z = append(ws.Z, i)
+			ws.InZ[i] = true
+			ws.Gamma[i] = dxi - f
 		}
 	}
+	zs := ws.Z
 	if len(zs) == 0 {
 		return expandResult{}
 	}
-	// Deterministic accumulation order: the γ sums below must not inherit map
-	// iteration order, or round-off makes repeated runs diverge.
-	sort.Ints(zs)
+	// Deterministic accumulation order: the γ sums below must not inherit the
+	// discovery order of Touched, or round-off makes results depend on it.
+	slices.Sort(zs)
+	gamma := ws.Gamma
 	var s, zeta float64
 	for _, i := range zs {
 		s += gamma[i]
@@ -204,8 +231,8 @@ func expand(g *graph.Graph, x *simplex.Vector, kktTol float64, rs *runstate.Stat
 			return expandResult{}
 		}
 		g.VisitNeighbors(i, func(v int, w float64) {
-			if gj, ok := gamma[v]; ok {
-				omega += gamma[i] * gj * w
+			if ws.InZ[v] {
+				omega += gamma[i] * gamma[v] * w
 			}
 		})
 	}
@@ -218,27 +245,42 @@ func expand(g *graph.Graph, x *simplex.Vector, kktTol float64, rs *runstate.Stat
 	}
 	// Apply x ← x + τb.
 	shrinkFactor := 1 - tau*s
-	x.Visit(func(u int, xu float64) {
-		if _, inZ := gamma[u]; !inZ {
-			x.Set(u, xu*shrinkFactor)
+	for _, u := range supp {
+		if !ws.InZ[u] {
+			ws.Set(u, ws.Get(u)*shrinkFactor)
 		}
-	})
+	}
 	for _, i := range zs {
-		x.Set(i, x.Get(i)+tau*gamma[i])
+		ws.Set(i, ws.Get(i)+tau*gamma[i])
 	}
 	// With Z disjoint from the support the direction sums to zero and x stays
 	// on the simplex; with overlap (non-KKT shrink output) it drifts —
 	// project back by renormalizing.
-	if sum := x.Sum(); sum > 0 && math.Abs(sum-1) > 1e-15 {
-		x.Visit(func(u int, xu float64) { x.Set(u, xu/sum) })
+	if sum := ws.Sum(); sum > 0 && math.Abs(sum-1) > 1e-15 {
+		for _, u := range ws.Support() {
+			ws.Set(u, ws.Get(u)/sum)
+		}
 	}
-	fNew := simplex.Affinity(g, x)
+	fNew := ws.Affinity(g)
 	if fNew < f-1e-12*(1+math.Abs(f)) {
 		// Objective decreased: the "error in Expansion" counted in Table VII.
 		// Faithful to the baseline, the move is kept, only counted.
 		return expandResult{expanded: true, errored: true}
 	}
 	return expandResult{expanded: true}
+}
+
+// clearExpand returns the expansion's scratch in ws to zero.
+func clearExpand(ws *simplex.Workspace) {
+	for _, v := range ws.Touched {
+		ws.InS[v] = false
+		ws.Acc[v] = 0
+	}
+	for _, i := range ws.Z {
+		ws.InZ[i] = false
+		ws.Gamma[i] = 0
+	}
+	ws.Touched, ws.Z = ws.Touched[:0], ws.Z[:0]
 }
 
 // seaLoop is the shared shrink-and-expand skeleton of Algorithm 3: run the
@@ -248,18 +290,18 @@ func expand(g *graph.Graph, x *simplex.Vector, kktTol float64, rs *runstate.Stat
 // it to decide membership in Z. It mutates x and returns per-init statistics.
 // Cancellation (rs) stops the loop between rounds, inside the shrink stage,
 // and inside the expansion's boundary sweep (which bails before mutating x).
-func seaLoop(g *graph.Graph, x *simplex.Vector, shrink shrinkFunc, kktTol func(sz int) float64, opt GAOptions, rs *runstate.State) GAStats {
+func seaLoop(g *graph.Graph, ws *simplex.Workspace, shrink shrinkFunc, kktTol func(sz int) float64, opt GAOptions, rs *runstate.State) GAStats {
 	var st GAStats
 	for round := 0; round < opt.MaxRounds; round++ {
 		if rs.Checkpoint() {
 			break
 		}
-		S := x.Support()
-		st.ShrinkIters += shrink(g, x, S, opt, rs)
+		S := ws.WorkingSet()
+		st.ShrinkIters += shrink(g, ws, S, opt, rs)
 		if rs.Interrupted() {
 			break // shrink stopped mid-descent: skip the unsafe expansion
 		}
-		res := expand(g, x, kktTol(len(S)), rs)
+		res := expand(g, ws, kktTol(len(S)), rs)
 		if res.expanded {
 			st.Expansions++
 			if res.errored {
@@ -277,15 +319,26 @@ func seaLoop(g *graph.Graph, x *simplex.Vector, shrink shrinkFunc, kktTol func(s
 // point of max xᵀDx over the simplex. The graph is normally GD+; the
 // algorithm itself tolerates negative weights (unlike the replicator).
 func SEACD(g *graph.Graph, x *simplex.Vector, opt GAOptions) GAStats {
-	return seacdRS(g, x, opt, runstate.New(nil))
+	var st GAStats
+	onWorkspace(x, func(ws *simplex.Workspace) { st = seacdRS(g, ws, opt, runstate.New(nil)) })
+	return st
 }
 
-func seacdRS(g *graph.Graph, x *simplex.Vector, opt GAOptions, rs *runstate.State) GAStats {
+// onWorkspace runs fn on a fresh workspace loaded with x and writes the
+// result back into x: the adapter behind the exported single-run entry points.
+func onWorkspace(x *simplex.Vector, fn func(ws *simplex.Workspace)) {
+	ws := simplex.NewWorkspace(x.N())
+	ws.Load(x)
+	fn(ws)
+	*x = *ws.Vector()
+}
+
+func seacdRS(g *graph.Graph, ws *simplex.Workspace, opt GAOptions, rs *runstate.State) GAStats {
 	opt = opt.withDefaults()
 	// The coordinate-descent shrink guarantees max∇−min∇ ≤ EpsBase/|S| on the
 	// working set; since f is a convex combination of the support gradients,
 	// no support vertex can exceed f by more than that — expansion is safe.
-	st := seaLoop(g, x, cdShrink, func(sz int) float64 {
+	st := seaLoop(g, ws, cdShrink, func(sz int) float64 {
 		return opt.EpsBase / float64(max(sz, 1))
 	}, opt, rs)
 	st.Inits = 1
@@ -296,17 +349,19 @@ func seacdRS(g *graph.Graph, x *simplex.Vector, opt GAOptions, rs *runstate.Stat
 // shrink stage and its loose convergence condition, used as the paper's
 // baseline. Run it on GD+ only (non-negative weights).
 func SEA(g *graph.Graph, x *simplex.Vector, opt GAOptions) GAStats {
-	return seaRS(g, x, opt, runstate.New(nil))
+	var st GAStats
+	onWorkspace(x, func(ws *simplex.Workspace) { st = seaRS(g, ws, opt, runstate.New(nil)) })
+	return st
 }
 
-func seaRS(g *graph.Graph, x *simplex.Vector, opt GAOptions, rs *runstate.State) GAStats {
+func seaRS(g *graph.Graph, ws *simplex.Workspace, opt GAOptions, rs *runstate.State) GAStats {
 	opt = opt.withDefaults()
 	// The replicator's improvement-based stop gives no gradient guarantee at
 	// all; the original implementation still tests Z membership at (roughly)
 	// its objective precision. When the dynamic stalls far from a local KKT
 	// point, support vertices leak into Z and the expansion can reduce the
 	// objective — the error counted in Table VII.
-	st := seaLoop(g, x, replicatorShrink, func(int) float64 {
+	st := seaLoop(g, ws, replicatorShrink, func(int) float64 {
 		return opt.ReplicatorEps
 	}, opt, rs)
 	st.Inits = 1

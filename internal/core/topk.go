@@ -103,7 +103,7 @@ func TopKGraphAffinityCtx(ctx context.Context, gd *graph.Graph, k int, opt GAOpt
 
 func topKGraphAffinityRS(gd *graph.Graph, k int, opt GAOptions, rs *runstate.State) ([]Clique, bool) {
 	cliques, interrupted := collectCliquesRS(gd, opt, rs)
-	taken := make(map[int]bool)
+	taken := make([]bool, gd.N())
 	var out []Clique
 	for _, c := range cliques {
 		if len(out) >= k || rs.Checkpoint() {

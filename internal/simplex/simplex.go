@@ -4,16 +4,22 @@
 // A subgraph embedding is a point of the standard simplex
 // Δn = {x | Σ xi = 1, xi ≥ 0}; entry xu is the participation of vertex u in
 // the subgraph, the support set Sx = {u | xu > 0} is the subgraph itself, and
-// the density is the graph affinity f(x) = xᵀAx (Eq. 2 of the paper). The
-// DCSGA machinery in internal/core manipulates these vectors through the
-// sparse representation here: supports stay small even on large graphs, so
-// every operation is priced in |support| and its boundary, never in n.
+// the density is the graph affinity f(x) = xᵀAx (Eq. 2 of the paper).
+//
+// Two representations serve the DCSGA machinery in internal/core. A Vector is
+// a result embedding: compact sorted (id, value) slices, O(|Sx|) memory, so
+// the thousands of embeddings a multi-initialization run keeps stay small.
+// A Workspace is the dense scratch of one solver worker: the working
+// embedding and the kernels' per-vertex arrays, indexed by vertex id and
+// sized O(n) once per worker — not once per initialization. Every kernel
+// operation is priced in |support| and its boundary, never in n; the workspace
+// keeps that true by clearing exactly the entries it touched.
 package simplex
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/dcslib/dcs/internal/graph"
 )
@@ -22,14 +28,15 @@ import (
 // simplex (entries sum to 1). Entries that are absent are zero; entries that
 // are present are strictly positive.
 type Vector struct {
-	n int
-	x map[int]float64
+	n    int
+	ids  []int     // support, strictly increasing
+	vals []float64 // vals[k] = x_{ids[k]}
 }
 
 // New returns the zero vector over n vertices (not on the simplex until
 // entries are set and normalized).
 func New(n int) *Vector {
-	return &Vector{n: n, x: make(map[int]float64)}
+	return &Vector{n: n}
 }
 
 // Indicator returns e_u: the embedding of the single-vertex subgraph {u}.
@@ -45,19 +52,25 @@ func Uniform(n int, S []int) *Vector {
 	if len(S) == 0 {
 		panic("simplex: Uniform over empty set")
 	}
-	v := New(n)
 	w := 1 / float64(len(S))
-	for _, u := range S {
-		v.x[u] = w
+	ids := slices.Compact(slices.Sorted(slices.Values(S)))
+	vals := make([]float64, len(ids))
+	for i := range vals {
+		vals[i] = w
 	}
-	return v
+	return &Vector{n: n, ids: ids, vals: vals}
 }
 
 // N returns the dimension (number of vertices).
 func (v *Vector) N() int { return v.n }
 
 // Get returns xu.
-func (v *Vector) Get(u int) float64 { return v.x[u] }
+func (v *Vector) Get(u int) float64 {
+	if i, ok := slices.BinarySearch(v.ids, u); ok {
+		return v.vals[i]
+	}
+	return 0
+}
 
 // Set assigns xu = val. Negative values (including tiny negative round-off)
 // and zeros clear the entry.
@@ -65,32 +78,34 @@ func (v *Vector) Set(u int, val float64) {
 	if u < 0 || u >= v.n {
 		panic(fmt.Sprintf("simplex: vertex %d out of range [0,%d)", u, v.n))
 	}
-	if val <= 0 {
-		delete(v.x, u)
-		return
+	i, ok := slices.BinarySearch(v.ids, u)
+	switch {
+	case val <= 0 && ok:
+		v.ids = slices.Delete(v.ids, i, i+1)
+		v.vals = slices.Delete(v.vals, i, i+1)
+	case val <= 0:
+	case ok:
+		v.vals[i] = val
+	default:
+		v.ids = slices.Insert(v.ids, i, u)
+		v.vals = slices.Insert(v.vals, i, val)
 	}
-	v.x[u] = val
 }
 
 // Support returns Sx = {u | xu > 0} in increasing order.
 func (v *Vector) Support() []int {
-	S := make([]int, 0, len(v.x))
-	for u := range v.x {
-		S = append(S, u)
-	}
-	sort.Ints(S)
-	return S
+	return append(make([]int, 0, len(v.ids)), v.ids...)
 }
 
 // SupportSize returns |Sx| without materializing the sorted slice.
-func (v *Vector) SupportSize() int { return len(v.x) }
+func (v *Vector) SupportSize() int { return len(v.ids) }
 
 // Sum returns Σ xu (1 for a simplex point, up to round-off). Accumulation
 // follows increasing vertex order for reproducibility.
 func (v *Vector) Sum() float64 {
 	var s float64
-	for _, u := range v.Support() {
-		s += v.x[u]
+	for _, val := range v.vals {
+		s += val
 	}
 	return s
 }
@@ -102,27 +117,23 @@ func (v *Vector) Normalize() {
 	if s <= 0 {
 		panic("simplex: cannot normalize zero vector")
 	}
-	for u := range v.x {
-		v.x[u] /= s
+	for i := range v.vals {
+		v.vals[i] /= s
 	}
 }
 
 // Clone returns a deep copy.
 func (v *Vector) Clone() *Vector {
-	c := &Vector{n: v.n, x: make(map[int]float64, len(v.x))}
-	for u, val := range v.x {
-		c.x[u] = val
-	}
-	return c
+	return &Vector{n: v.n, ids: slices.Clone(v.ids), vals: slices.Clone(v.vals)}
 }
 
 // Visit calls fn for every non-zero entry in increasing vertex order. The
 // deterministic order matters: floating-point accumulation over the support
-// must not depend on map iteration order, or repeated runs of the iterative
-// solvers diverge in their round-off and lose reproducibility.
+// must follow one fixed order, or repeated runs of the iterative solvers
+// diverge in their round-off and lose reproducibility. fn must not modify v.
 func (v *Vector) Visit(fn func(u int, val float64)) {
-	for _, u := range v.Support() {
-		fn(u, v.x[u])
+	for i, u := range v.ids {
+		fn(u, v.vals[i])
 	}
 }
 
@@ -134,12 +145,12 @@ func (v *Vector) OnSimplex(tol float64) bool {
 // Affinity returns f(x) = xᵀDx computed against the graph's affinity matrix:
 // Σ over ordered pairs (u,v) of xu·xv·D(u,v), i.e. each undirected edge
 // contributes twice — matching Eq. 2 and the paper's W(S) convention. Cost is
-// O(Σ_{u∈Sx} deg(u)).
+// O(Σ_{u∈Sx} deg(u)·log|Sx|).
 func Affinity(g *graph.Graph, v *Vector) float64 {
 	var f float64
 	v.Visit(func(u int, xu float64) {
 		g.VisitNeighbors(u, func(to int, w float64) {
-			if xv, ok := v.x[to]; ok {
+			if xv := v.Get(to); xv != 0 {
 				f += xu * xv * w
 			}
 		})
@@ -151,7 +162,7 @@ func Affinity(g *graph.Graph, v *Vector) float64 {
 func DxEntry(g *graph.Graph, v *Vector, u int) float64 {
 	var s float64
 	g.VisitNeighbors(u, func(to int, w float64) {
-		if xv, ok := v.x[to]; ok {
+		if xv := v.Get(to); xv != 0 {
 			s += w * xv
 		}
 	})
@@ -167,7 +178,7 @@ func Gradient(g *graph.Graph, v *Vector, u int) float64 {
 // non-zero: the support of x and every neighbor of the support. All other
 // vertices have gradient exactly 0 (they have no edge into Sx).
 func GradientMap(g *graph.Graph, v *Vector) map[int]float64 {
-	grad := make(map[int]float64, 2*len(v.x))
+	grad := make(map[int]float64, 2*len(v.ids))
 	v.Visit(func(u int, xu float64) {
 		grad[u] += 0 // ensure support vertices are present even if isolated
 		g.VisitNeighbors(u, func(to int, w float64) {
@@ -191,10 +202,11 @@ func KKTViolation(g *graph.Graph, v *Vector) float64 {
 	maxAny := math.Inf(-1)
 	minSupp := math.Inf(1)
 	for u, gu := range grad {
-		if v.x[u] < 1 && gu > maxAny {
+		xu := v.Get(u)
+		if xu < 1 && gu > maxAny {
 			maxAny = gu
 		}
-		if v.x[u] > 0 && gu < minSupp {
+		if xu > 0 && gu < minSupp {
 			minSupp = gu
 		}
 	}
@@ -223,10 +235,11 @@ func LocalKKTViolation(g *graph.Graph, v *Vector, S []int) float64 {
 	minSupp := math.Inf(1)
 	for _, u := range S {
 		gu := Gradient(g, v, u)
-		if v.x[u] < 1 && gu > maxAny {
+		xu := v.Get(u)
+		if xu < 1 && gu > maxAny {
 			maxAny = gu
 		}
-		if v.x[u] > 0 && gu < minSupp {
+		if xu > 0 && gu < minSupp {
 			minSupp = gu
 		}
 	}

@@ -233,3 +233,80 @@ func TestUniformEmptyPanics(t *testing.T) {
 	}()
 	Uniform(3, nil)
 }
+
+// The workspace's embedding follows Vector's entry semantics — Set(u, ≤0)
+// deletes — while letting Set run during a range over Support.
+func TestWorkspaceSetSupport(t *testing.T) {
+	w := NewWorkspace(6)
+	w.Set(4, 0.5)
+	w.Set(1, 0.25)
+	w.Set(3, 0.25)
+	for _, u := range w.Support() { // clearing and adding mid-range is allowed
+		if u == 3 {
+			w.Set(3, 0)
+			w.Set(0, 0.25)
+		}
+	}
+	if S := w.Support(); len(S) != 3 || S[0] != 0 || S[1] != 1 || S[2] != 4 {
+		t.Fatalf("support = %v, want [0 1 4]", S)
+	}
+	w.Set(1, -1e-18) // negative round-off clears too
+	w.Set(1, 0.25)   // and a cleared entry can come back
+	w.Set(5, 0)      // clearing an absent entry is a no-op
+	if S := w.Support(); len(S) != 3 || w.Get(5) != 0 || !almostEqual(w.Sum(), 1) {
+		t.Fatalf("support = %v, sum = %v", S, w.Sum())
+	}
+	v := w.Vector()
+	var back Workspace
+	back.Load(v)
+	if got := back.Vector(); got.SupportSize() != 3 || got.Get(4) != 0.5 || got.Get(0) != 0.25 {
+		t.Fatalf("Vector/Load round trip lost entries: %v", got.Support())
+	}
+	w.Reset(2)
+	w.Reset(6)
+	for u := 0; u < 6; u++ {
+		if w.Get(u) != 0 {
+			t.Fatalf("x[%d] survived Reset", u)
+		}
+	}
+	if w.SupportSize() != 0 {
+		t.Fatal("support survived Reset")
+	}
+}
+
+// Affinity and DxEntry on a workspace equal the Vector versions bit for bit.
+func TestWorkspaceMatchesVector(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(12)
+		b := graph.NewBuilder(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < 0.5 {
+					b.AddEdge(u, v, rng.Float64()*8-3)
+				}
+			}
+		}
+		g := b.Build()
+		x := New(n)
+		for v := 0; v < n; v++ {
+			if rng.Float64() < 0.6 {
+				x.Set(v, rng.Float64())
+			}
+		}
+		if x.SupportSize() == 0 {
+			continue
+		}
+		x.Normalize()
+		w := NewWorkspace(n)
+		w.Load(x)
+		if w.Affinity(g) != Affinity(g, x) || w.Sum() != x.Sum() {
+			t.Fatalf("trial %d: workspace affinity/sum differ from the vector's", trial)
+		}
+		for u := 0; u < n; u++ {
+			if w.DxEntry(g, u) != DxEntry(g, x, u) {
+				t.Fatalf("trial %d: DxEntry(%d) differs", trial, u)
+			}
+		}
+	}
+}
