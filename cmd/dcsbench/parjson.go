@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -89,13 +90,13 @@ func runParJSON(w io.Writer, quick bool, seed int64) error {
 		run  func(deg int) any
 	}{
 		{"ParDCSGreedy", func(deg int) any {
-			return core.DCSGreedyPar(gd, deg)
+			return core.DCSGreedyCtx(context.Background(), gd, deg)
 		}},
 		{"ParTopK5", func(deg int) any {
-			return dcs.TopKAverageDegreeDCSOnPar(gd, 5, deg)
+			return core.TopKAverageDegreePar(gd, 5, deg)
 		}},
 		{"ParRatio", func(deg int) any {
-			return dcs.FindMaxRatioContrastPar(dSmall.G1, dSmall.G2, deg)
+			return dcs.FindMaxRatioContrastParCtx(context.Background(), dSmall.G1, dSmall.G2, deg)
 		}},
 		{"ParNewSEA", func(deg int) any {
 			return core.NewSEA(gdSmall, core.GAOptions{Parallelism: deg})

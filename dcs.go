@@ -7,11 +7,11 @@
 // Two density measures are supported:
 //
 //   - Average degree ρ(S) = W(S)/|S| — maximize ρ2(S) − ρ1(S) with
-//     FindAverageDegreeDCS (the paper's DCSGreedy, an O(n)-approximation with
-//     a data-dependent ratio; the exact problem is NP-hard and
-//     O(n^(1−ε))-inapproximable).
+//     FindAverageDegreeDCSOnParCtx (the paper's DCSGreedy, an
+//     O(n)-approximation with a data-dependent ratio; the exact problem is
+//     NP-hard and O(n^(1−ε))-inapproximable).
 //   - Graph affinity f(x) = xᵀAx over the simplex — maximize f2(x) − f1(x)
-//     with FindGraphAffinityDCS (the paper's NewSEA: coordinate-descent
+//     with FindGraphAffinityDCSOnCtx (the paper's NewSEA: coordinate-descent
 //     shrink-and-expansion with smart initialization; the result is always a
 //     positive clique of the difference graph).
 //
@@ -25,39 +25,35 @@
 //	b1 := dcs.NewBuilder(n) // relations yesterday
 //	b2 := dcs.NewBuilder(n) // relations today
 //	... b1.AddEdge(u, v, w) ...
-//	res := dcs.FindGraphAffinityDCS(b1.Build(), b2.Build(), nil)
+//	gd := dcs.Difference(b1.Build(), b2.Build())
+//	res := dcs.FindGraphAffinityDCSOnCtx(ctx, gd, nil)
 //	fmt.Println(res.S, res.Affinity)
 //
-// To find subgraphs whose density *dropped*, swap the arguments. To mine a
-// pre-built signed graph (e.g. expected-vs-observed weights), use the *On
-// variants directly.
+// Every solver takes the difference graph, so one GD can feed several
+// solves, and a pre-built signed graph (e.g. expected-vs-observed weights)
+// is mined the same way. To find subgraphs whose density *dropped*, swap
+// the arguments of Difference. On a single positive-weight graph,
+// FindGraphAffinityDCSOnCtx is the traditional graph-affinity densest
+// subgraph of Liu et al. [18].
 //
 // # Cancellation
 //
 // Both DCS problems are NP-hard, so no caller can predict how long one solve
-// will run. Every entry point therefore has a *Ctx variant taking a
-// context.Context first (FindGraphAffinityDCSCtx, TopKAverageDegreeDCSCtx,
-// ...): when the context is cancelled or its deadline expires, the solver
-// unwinds within one checkpoint interval (~1024 inner-loop iterations,
-// microseconds in practice) and returns its best-so-far partial result with
-// the Interrupted field set — still a valid subgraph with exact metrics, just
-// without the completed run's guarantees. The context-free names delegate to
-// context.Background() and never interrupt; the checkpoints then cost under
-// 2% on the solver hot loops. Because that root context can never fire, the
-// non-Ctx wrappers also discard the interruption signal: Interrupted result
-// fields stay false, and wrappers over tuple-returning Ctx variants drop the
-// interrupted flag outright. Callers that need to distinguish a complete
-// solve from a cancelled one must use the *Ctx entry points. Each wrapper
-// carries a function-level `//lint:allow ctxflow` directive — the sanctioned,
-// fact-annotated exception to the library-wide ban on manufacturing
-// contexts (see CONTRIBUTING.md).
+// will run. Every solver therefore takes a context.Context first: when the
+// context is cancelled or its deadline expires, the solver unwinds within
+// one checkpoint interval (~1024 inner-loop iterations, microseconds in
+// practice) and returns its best-so-far partial result with the Interrupted
+// field (or the interrupted return value) set — still a valid subgraph with
+// exact metrics, just without the completed run's guarantees. Callers with
+// no deadline pass context.Background(); the checkpoints then cost under 2%
+// on the solver hot loops.
 //
 // # Parallelism
 //
 // A single solve can spread its work over a bounded worker pool. The
-// average-degree and ratio solvers take an explicit workers argument in
-// their *Par variants (FindAverageDegreeDCSOnPar, TopKAverageDegreeDCSOnPar,
-// FindMaxRatioContrastPar); the graph-affinity solvers read
+// average-degree and ratio solvers take an explicit workers argument
+// (FindAverageDegreeDCSOnParCtx, TopKAverageDegreeDCSOnParCtx,
+// FindMaxRatioContrastParCtx); the graph-affinity solvers read
 // Options.Parallelism. Degrees ≤ 1 select the sequential path and degrees
 // above GOMAXPROCS are capped. Parallel solves are bitwise-deterministic:
 // for a fixed input the result is identical at every parallelism degree,
@@ -123,26 +119,23 @@ func ApplyDelta(base *Graph, delta []Edge) *Graph {
 	return graph.ApplyDelta(base, delta)
 }
 
-// WriteGraphBinary writes g in the versioned binary CSR format (magic,
-// format version, trailing CRC32-C): the graph's CSR arrays dumped verbatim,
-// so large graphs load an order of magnitude faster than through the text
-// formats and round-trip byte-exactly. This is the on-disk format of the
-// dcsd persistence layer and of .dcsg files.
-func WriteGraphBinary(w io.Writer, g *Graph) error { return dataio.WriteBinary(w, g) }
-
-// ReadGraphBinary reads a binary-format graph, verifying the checksum and
-// every structural CSR invariant; corrupt or truncated input yields an
-// error, never a malformed graph. Both format versions are accepted.
+// ReadGraphBinary reads a binary-format graph (magic, format version,
+// CRC32-C checksums), verifying the checksums and every structural CSR
+// invariant; corrupt or truncated input yields an error, never a malformed
+// graph. Both format versions are accepted: version 1, a single
+// checksummed dump of the CSR arrays that older dcsd data directories
+// still hold, and version 2 (see WriteGraphBinaryV2).
 func ReadGraphBinary(r io.Reader) (*Graph, error) { return dataio.ReadBinary(r) }
 
 // WriteGraphBinaryV2 writes g in version 2 of the binary format:
 // page-aligned sections (offsets, neighbor ids, weights) with per-section
 // CRC32-C checksums, designed to be memory-mapped and served in place by
-// OpenGraphMapped. With compress set, sorted neighbor ids are varint-delta
-// encoded and repetitive weights are palette-encoded, typically shrinking
-// files 2–4× at the cost of decoding those sections to the heap on open.
-// ReadGraphBinary reads both versions; v1 remains the default of
-// WriteGraphBinary.
+// OpenGraphMapped. The CSR arrays round-trip byte-exactly, so large graphs
+// load an order of magnitude faster than through the text formats. This is
+// the on-disk format of the dcsd persistence layer and of .dcsg files.
+// With compress set, sorted neighbor ids are varint-delta encoded and
+// repetitive weights are palette-encoded, typically shrinking files 2–4× at
+// the cost of decoding those sections to the heap on open.
 func WriteGraphBinaryV2(w io.Writer, g *Graph, compress bool) error {
 	return dataio.WriteBinaryV2(w, g, compress)
 }
@@ -179,78 +172,25 @@ type Options = core.GAOptions
 // affinity solver, used for top-k contrast mining.
 type ContrastClique = core.Clique
 
-// FindAverageDegreeDCS finds the subgraph maximizing ρ2(S) − ρ1(S) using
-// DCSGreedy on the difference graph G2 − G1. For subgraphs whose density
-// *decreased*, call FindAverageDegreeDCS(g2, g1).
-//
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; discards the interruption signal by contract (see package doc)
-func FindAverageDegreeDCS(g1, g2 *Graph) AverageDegreeResult {
-	return FindAverageDegreeDCSCtx(context.Background(), g1, g2)
-}
-
-// FindAverageDegreeDCSCtx is FindAverageDegreeDCS with cooperative
-// cancellation: when ctx is done the solver returns its best-so-far subgraph
-// tagged Interrupted (see the package documentation).
-func FindAverageDegreeDCSCtx(ctx context.Context, g1, g2 *Graph) AverageDegreeResult {
-	return core.DCSGreedyCtx(ctx, graph.Difference(g1, g2))
-}
-
-// FindAverageDegreeDCSOn runs DCSGreedy directly on a pre-built (signed)
-// difference graph.
-//
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; discards the interruption signal by contract (see package doc)
-func FindAverageDegreeDCSOn(gd *Graph) AverageDegreeResult {
-	return FindAverageDegreeDCSOnCtx(context.Background(), gd)
-}
-
-// FindAverageDegreeDCSOnCtx is FindAverageDegreeDCSOn with cooperative
-// cancellation.
-func FindAverageDegreeDCSOnCtx(ctx context.Context, gd *Graph) AverageDegreeResult {
-	return core.DCSGreedyCtx(ctx, gd)
-}
-
-// FindAverageDegreeDCSOnPar is FindAverageDegreeDCSOn with the solve spread
-// over at most workers goroutines: the Greedy(GD) and Greedy(GD+) peels run
-// concurrently and each peel fans its connected components out on the pool.
-// The result is bitwise identical to the sequential solver at every degree
-// (see the package documentation).
-func FindAverageDegreeDCSOnPar(gd *Graph, workers int) AverageDegreeResult {
-	return core.DCSGreedyPar(gd, workers)
-}
-
-// FindAverageDegreeDCSOnParCtx is FindAverageDegreeDCSOnPar with cooperative
-// cancellation.
+// FindAverageDegreeDCSOnParCtx finds the subgraph maximizing ρ2(S) − ρ1(S)
+// by running DCSGreedy on the (signed) difference graph gd = G2 − G1. The
+// solve is spread over at most workers goroutines: the Greedy(GD) and
+// Greedy(GD+) peels run concurrently and each peel fans its connected
+// components out on the pool. When ctx is done the solver returns its
+// best-so-far subgraph tagged Interrupted (see the package documentation).
 func FindAverageDegreeDCSOnParCtx(ctx context.Context, gd *Graph, workers int) AverageDegreeResult {
-	return core.DCSGreedyParCtx(ctx, gd, workers)
+	return core.DCSGreedyCtx(ctx, gd, workers)
 }
 
-// FindGraphAffinityDCS finds the embedding maximizing x'A2x − x'A1x using
-// NewSEA on the difference graph G2 − G1. The result's support is always a
-// positive clique of GD (every pair inside strengthened its connection from
-// G1 to G2). Pass nil options for the paper's defaults.
-//
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; discards the interruption signal by contract (see package doc)
-func FindGraphAffinityDCS(g1, g2 *Graph, opt *Options) GraphAffinityResult {
-	return FindGraphAffinityDCSCtx(context.Background(), g1, g2, opt)
-}
-
-// FindGraphAffinityDCSCtx is FindGraphAffinityDCS with cooperative
-// cancellation: when ctx is done the solver returns the best embedding found
-// so far tagged Interrupted (see the package documentation).
-func FindGraphAffinityDCSCtx(ctx context.Context, g1, g2 *Graph, opt *Options) GraphAffinityResult {
-	return FindGraphAffinityDCSOnCtx(ctx, graph.Difference(g1, g2), opt)
-}
-
-// FindGraphAffinityDCSOn runs NewSEA directly on a pre-built difference
-// graph.
-//
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; discards the interruption signal by contract (see package doc)
-func FindGraphAffinityDCSOn(gd *Graph, opt *Options) GraphAffinityResult {
-	return FindGraphAffinityDCSOnCtx(context.Background(), gd, opt)
-}
-
-// FindGraphAffinityDCSOnCtx is FindGraphAffinityDCSOn with cooperative
-// cancellation.
+// FindGraphAffinityDCSOnCtx finds the embedding maximizing x'A2x − x'A1x by
+// running NewSEA on the difference graph gd = G2 − G1. The result's support
+// is always a positive clique of GD (every pair inside strengthened its
+// connection from G1 to G2). Pass nil options for the paper's defaults.
+// When ctx is done the solver returns the best embedding found so far
+// tagged Interrupted. On a single positive-weight graph this maximizes xᵀAx
+// over the simplex — the traditional graph-affinity densest-subgraph
+// problem of Liu et al. [18], which Section V-C notes the coordinate-descent
+// machinery solves competitively.
 func FindGraphAffinityDCSOnCtx(ctx context.Context, gd *Graph, opt *Options) GraphAffinityResult {
 	var o Options
 	if opt != nil {
@@ -259,58 +199,20 @@ func FindGraphAffinityDCSOnCtx(ctx context.Context, gd *Graph, opt *Options) Gra
 	return core.NewSEACtx(ctx, gd, o)
 }
 
-// TopContrastCliques mines many density-contrast cliques at once: it runs the
-// coordinate-descent solver from every vertex of GD+, refines each result to
-// a positive clique, de-duplicates, removes cliques subsumed by larger ones
-// and returns them sorted by decreasing affinity difference. This is the
-// procedure behind the paper's top-k emerging/disappearing topic lists.
-// It drops the Ctx variant's interrupted flag (always false here).
-//
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; discards the interruption signal by contract (see package doc)
-func TopContrastCliques(g1, g2 *Graph, opt *Options) []ContrastClique {
-	cs, _ := TopContrastCliquesCtx(context.Background(), g1, g2, opt)
-	return cs
-}
-
-// TopContrastCliquesCtx is TopContrastCliques with cooperative cancellation:
-// when ctx is done the remaining initializations are skipped and the cliques
-// already found are returned, with interrupted reporting the early stop.
-func TopContrastCliquesCtx(ctx context.Context, g1, g2 *Graph, opt *Options) (cliques []ContrastClique, interrupted bool) {
-	return TopContrastCliquesOnCtx(ctx, graph.Difference(g1, g2), opt)
-}
-
-// TopContrastCliquesOn is TopContrastCliques on a pre-built difference graph.
-// It drops the Ctx variant's interrupted flag (always false here).
-//
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; discards the interruption signal by contract (see package doc)
-func TopContrastCliquesOn(gd *Graph, opt *Options) []ContrastClique {
-	cs, _ := TopContrastCliquesOnCtx(context.Background(), gd, opt)
-	return cs
-}
-
-// TopContrastCliquesOnCtx is TopContrastCliquesOn with cooperative
-// cancellation.
+// TopContrastCliquesOnCtx mines many density-contrast cliques of the
+// difference graph gd at once: it runs the coordinate-descent solver from
+// every vertex of GD+, refines each result to a positive clique,
+// de-duplicates, removes cliques subsumed by larger ones and returns them
+// sorted by decreasing affinity difference. This is the procedure behind the
+// paper's top-k emerging/disappearing topic lists. When ctx is done the
+// remaining initializations are skipped and the cliques already found are
+// returned, with interrupted reporting the early stop.
 func TopContrastCliquesOnCtx(ctx context.Context, gd *Graph, opt *Options) (cliques []ContrastClique, interrupted bool) {
 	var o Options
 	if opt != nil {
 		o = *opt
 	}
 	return core.CollectCliquesCtx(ctx, gd, o)
-}
-
-// MaxAffinitySubgraph maximizes xᵀAx over the simplex on a *single*
-// positive-weight graph — the traditional graph-affinity densest-subgraph
-// problem of Liu et al. [18], which Section V-C notes the coordinate-descent
-// machinery solves competitively. It is FindGraphAffinityDCS against an
-// empty first graph.
-func MaxAffinitySubgraph(g *Graph, opt *Options) GraphAffinityResult {
-	return FindGraphAffinityDCSOn(g, opt)
-}
-
-// MaxAffinitySubgraphCtx is MaxAffinitySubgraph with cooperative
-// cancellation.
-func MaxAffinitySubgraphCtx(ctx context.Context, g *Graph, opt *Options) GraphAffinityResult {
-	return FindGraphAffinityDCSOnCtx(ctx, g, opt)
 }
 
 // ValidateAverageDegreeResult re-derives every field of an
@@ -329,117 +231,38 @@ func ValidateGraphAffinityResult(gd *Graph, res GraphAffinityResult) error {
 // RatioContrastResult is the outcome of the α-quasi-contrast search.
 type RatioContrastResult = core.RatioResult
 
-// FindMaxRatioContrast searches for the largest α such that some subgraph S
-// satisfies ρ2(S) ≥ α·ρ1(S), via binary search over the generalized
-// difference graphs GD = G2 − αG1 of Section III-D. The returned α is
-// certified by the witness S; it is +Inf when an edge exists only in G2 (the
-// degeneracy that makes the raw density-ratio objective ill-posed,
-// Section III-C).
-//
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; discards the interruption signal by contract (see package doc)
-func FindMaxRatioContrast(g1, g2 *Graph) RatioContrastResult {
-	return FindMaxRatioContrastCtx(context.Background(), g1, g2)
-}
-
-// FindMaxRatioContrastCtx is FindMaxRatioContrast with cooperative
-// cancellation: the binary search stops after the probe in flight and returns
-// the best certified witness so far, tagged Interrupted.
-func FindMaxRatioContrastCtx(ctx context.Context, g1, g2 *Graph) RatioContrastResult {
-	return core.MaxRatioContrastCtx(ctx, g1, g2, 0)
-}
-
-// FindMaxRatioContrastPar is FindMaxRatioContrast with up to workers
-// binary-search probes evaluated concurrently: probes are run speculatively
-// down the search's decision tree and only the sequential search's path is
-// committed, so the certified α and witness are bitwise identical to the
-// sequential solver at every degree.
-func FindMaxRatioContrastPar(g1, g2 *Graph, workers int) RatioContrastResult {
-	return core.MaxRatioContrastPar(g1, g2, 0, workers)
-}
-
-// FindMaxRatioContrastParCtx is FindMaxRatioContrastPar with cooperative
-// cancellation.
+// FindMaxRatioContrastParCtx searches for the largest α such that some
+// subgraph S satisfies ρ2(S) ≥ α·ρ1(S), via binary search over the
+// generalized difference graphs GD = G2 − αG1 of Section III-D. The returned
+// α is certified by the witness S; it is +Inf when an edge exists only in G2
+// (the degeneracy that makes the raw density-ratio objective ill-posed,
+// Section III-C). Up to workers binary-search probes are evaluated
+// concurrently: probes are run speculatively down the search's decision
+// tree and only the sequential search's path is committed, so the certified
+// α and witness are bitwise identical at every degree. When ctx is done the
+// search stops after the probes in flight and returns the best certified
+// witness so far, tagged Interrupted.
 func FindMaxRatioContrastParCtx(ctx context.Context, g1, g2 *Graph, workers int) RatioContrastResult {
-	return core.MaxRatioContrastParCtx(ctx, g1, g2, 0, workers)
+	return core.MaxRatioContrastCtx(ctx, g1, g2, workers)
 }
 
-// TopKAverageDegreeDCS mines up to k vertex-disjoint density contrast
-// subgraphs under the average-degree measure by iterating DCSGreedy on the
-// difference graph with previously found vertices removed. It extends the
-// paper toward its stated future-work direction of mining multiple
-// subgraphs with large density difference. It drops the Ctx variant's
-// interrupted flag (always false here).
-//
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; discards the interruption signal by contract (see package doc)
-func TopKAverageDegreeDCS(g1, g2 *Graph, k int) []AverageDegreeResult {
-	rs, _ := TopKAverageDegreeDCSCtx(context.Background(), g1, g2, k)
-	return rs
-}
-
-// TopKAverageDegreeDCSCtx is TopKAverageDegreeDCS with cooperative
-// cancellation: when ctx is done the subgraphs already mined are returned and
-// interrupted reports the early stop.
-func TopKAverageDegreeDCSCtx(ctx context.Context, g1, g2 *Graph, k int) (results []AverageDegreeResult, interrupted bool) {
-	return core.TopKAverageDegreeCtx(ctx, graph.Difference(g1, g2), k)
-}
-
-// TopKAverageDegreeDCSOn is TopKAverageDegreeDCS on a pre-built difference
-// graph. It drops the Ctx variant's interrupted flag (always false here).
-//
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; discards the interruption signal by contract (see package doc)
-func TopKAverageDegreeDCSOn(gd *Graph, k int) []AverageDegreeResult {
-	rs, _ := TopKAverageDegreeDCSOnCtx(context.Background(), gd, k)
-	return rs
-}
-
-// TopKAverageDegreeDCSOnCtx is TopKAverageDegreeDCSOn with cooperative
-// cancellation.
-func TopKAverageDegreeDCSOnCtx(ctx context.Context, gd *Graph, k int) (results []AverageDegreeResult, interrupted bool) {
-	return core.TopKAverageDegreeCtx(ctx, gd, k)
-}
-
-// TopKAverageDegreeDCSOnPar is TopKAverageDegreeDCSOn with each DCSGreedy
-// iteration run on at most workers goroutines. The picks are bitwise
-// identical to the sequential solver at every degree.
-func TopKAverageDegreeDCSOnPar(gd *Graph, k, workers int) []AverageDegreeResult {
-	return core.TopKAverageDegreePar(gd, k, workers)
-}
-
-// TopKAverageDegreeDCSOnParCtx is TopKAverageDegreeDCSOnPar with cooperative
-// cancellation.
+// TopKAverageDegreeDCSOnParCtx mines up to k vertex-disjoint density
+// contrast subgraphs under the average-degree measure by iterating DCSGreedy
+// on the difference graph gd with previously found vertices removed, each
+// iteration run on at most workers goroutines. It extends the paper toward
+// its stated future-work direction of mining multiple subgraphs with large
+// density difference. When ctx is done the subgraphs already mined are
+// returned and interrupted reports the early stop.
 func TopKAverageDegreeDCSOnParCtx(ctx context.Context, gd *Graph, k, workers int) (results []AverageDegreeResult, interrupted bool) {
-	return core.TopKAverageDegreeParCtx(ctx, gd, k, workers)
+	return core.TopKAverageDegreeCtx(ctx, gd, k, workers)
 }
 
-// TopKGraphAffinityDCS mines up to k vertex-disjoint positive cliques with
-// the largest affinity differences (disjoint communities rather than the
-// possibly-overlapping topics of TopContrastCliques). It drops the Ctx
-// variant's interrupted flag (always false here).
-//
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; discards the interruption signal by contract (see package doc)
-func TopKGraphAffinityDCS(g1, g2 *Graph, k int, opt *Options) []ContrastClique {
-	cs, _ := TopKGraphAffinityDCSCtx(context.Background(), g1, g2, k, opt)
-	return cs
-}
-
-// TopKGraphAffinityDCSCtx is TopKGraphAffinityDCS with cooperative
-// cancellation: interrupted reports that the underlying clique collection
-// stopped early, so the selection ran over a partial candidate pool.
-func TopKGraphAffinityDCSCtx(ctx context.Context, g1, g2 *Graph, k int, opt *Options) (cliques []ContrastClique, interrupted bool) {
-	return TopKGraphAffinityDCSOnCtx(ctx, graph.Difference(g1, g2), k, opt)
-}
-
-// TopKGraphAffinityDCSOn is TopKGraphAffinityDCS on a pre-built difference
-// graph. It drops the Ctx variant's interrupted flag (always false here).
-//
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; discards the interruption signal by contract (see package doc)
-func TopKGraphAffinityDCSOn(gd *Graph, k int, opt *Options) []ContrastClique {
-	cs, _ := TopKGraphAffinityDCSOnCtx(context.Background(), gd, k, opt)
-	return cs
-}
-
-// TopKGraphAffinityDCSOnCtx is TopKGraphAffinityDCSOn with cooperative
-// cancellation.
+// TopKGraphAffinityDCSOnCtx mines up to k vertex-disjoint positive cliques of
+// the difference graph gd with the largest affinity differences (disjoint
+// communities rather than the possibly-overlapping topics of
+// TopContrastCliquesOnCtx). interrupted reports that the underlying clique
+// collection stopped early, so the selection ran over a partial candidate
+// pool.
 func TopKGraphAffinityDCSOnCtx(ctx context.Context, gd *Graph, k int, opt *Options) (cliques []ContrastClique, interrupted bool) {
 	var o Options
 	if opt != nil {
@@ -452,33 +275,13 @@ func TopKGraphAffinityDCSOnCtx(ctx context.Context, gd *Graph, k int, opt *Optio
 // W_D(S) (the objective of the EgoScan baseline, Cadena et al. [6]).
 type MaxTotalWeightResult = egoscan.Result
 
-// FindMaxTotalWeightSubgraph maximizes the total edge-weight difference
-// W2(S) − W1(S) rather than a density — the objective of the paper's closest
-// related work. Use it when very large contrast subgraphs are wanted
-// (Section VI-E's guidance: graph affinity for small interpretable DCS,
-// average degree for medium, total weight for the largest).
-//
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; discards the interruption signal by contract (see package doc)
-func FindMaxTotalWeightSubgraph(g1, g2 *Graph) MaxTotalWeightResult {
-	return FindMaxTotalWeightSubgraphCtx(context.Background(), g1, g2)
-}
-
-// FindMaxTotalWeightSubgraphCtx is FindMaxTotalWeightSubgraph with
-// cooperative cancellation: when ctx is done the scan stops and the best
-// candidate found so far is returned, tagged Interrupted.
-func FindMaxTotalWeightSubgraphCtx(ctx context.Context, g1, g2 *Graph) MaxTotalWeightResult {
-	return egoscan.ScanCtx(ctx, graph.Difference(g1, g2), egoscan.Options{})
-}
-
-// FindMaxTotalWeightSubgraphOn is the pre-built-difference-graph variant.
-//
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; discards the interruption signal by contract (see package doc)
-func FindMaxTotalWeightSubgraphOn(gd *Graph) MaxTotalWeightResult {
-	return FindMaxTotalWeightSubgraphOnCtx(context.Background(), gd)
-}
-
-// FindMaxTotalWeightSubgraphOnCtx is FindMaxTotalWeightSubgraphOn with
-// cooperative cancellation.
+// FindMaxTotalWeightSubgraphOnCtx maximizes the total edge-weight difference
+// W_D(S) = W2(S) − W1(S) on the difference graph gd rather than a density —
+// the objective of the paper's closest related work. Use it when very large
+// contrast subgraphs are wanted (Section VI-E's guidance: graph affinity for
+// small interpretable DCS, average degree for medium, total weight for the
+// largest). When ctx is done the scan stops and the best candidate found so
+// far is returned, tagged Interrupted.
 func FindMaxTotalWeightSubgraphOnCtx(ctx context.Context, gd *Graph) MaxTotalWeightResult {
 	return egoscan.ScanCtx(ctx, gd, egoscan.Options{})
 }

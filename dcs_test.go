@@ -1,6 +1,7 @@
 package dcs
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -23,9 +24,11 @@ func fig1() (*Graph, *Graph) {
 	return b1.Build(), b2.Build()
 }
 
+var bg = context.Background()
+
 func TestPublicAverageDegree(t *testing.T) {
 	g1, g2 := fig1()
-	res := FindAverageDegreeDCS(g1, g2)
+	res := FindAverageDegreeDCSOnParCtx(bg, Difference(g1, g2), 1)
 	if math.Abs(res.Density-20.0/3) > 1e-9 {
 		t.Fatalf("density = %v, want 20/3", res.Density)
 	}
@@ -33,7 +36,7 @@ func TestPublicAverageDegree(t *testing.T) {
 		t.Fatalf("S = %v, want the triangle {0,2,3}", res.S)
 	}
 	// Disappearing direction: best is the (v3,v5) edge with density 1.
-	dis := FindAverageDegreeDCS(g2, g1)
+	dis := FindAverageDegreeDCSOnParCtx(bg, Difference(g2, g1), 1)
 	if math.Abs(dis.Density-1) > 1e-9 {
 		t.Fatalf("disappearing density = %v, want 1", dis.Density)
 	}
@@ -41,7 +44,7 @@ func TestPublicAverageDegree(t *testing.T) {
 
 func TestPublicGraphAffinity(t *testing.T) {
 	g1, g2 := fig1()
-	res := FindGraphAffinityDCS(g1, g2, nil)
+	res := FindGraphAffinityDCSOnCtx(bg, Difference(g1, g2), nil)
 	if math.Abs(res.Affinity-2.25) > 1e-6 {
 		t.Fatalf("affinity = %v, want 2.25", res.Affinity)
 	}
@@ -63,7 +66,7 @@ func TestPublicDifferenceAlpha(t *testing.T) {
 	if w := gd.Weight(0, 2); math.Abs(w-1) > 1e-9 {
 		t.Fatalf("alpha-difference weight = %v, want 1", w)
 	}
-	res := FindAverageDegreeDCSOn(gd)
+	res := FindAverageDegreeDCSOnParCtx(bg, gd, 1)
 	if res.Density <= 0 {
 		t.Fatalf("alpha contrast should still be positive, got %v", res.Density)
 	}
@@ -71,8 +74,8 @@ func TestPublicDifferenceAlpha(t *testing.T) {
 
 func TestPublicTopContrastCliques(t *testing.T) {
 	g1, g2 := fig1()
-	cs := TopContrastCliques(g1, g2, nil)
-	if len(cs) == 0 {
+	cs, interrupted := TopContrastCliquesOnCtx(bg, Difference(g1, g2), nil)
+	if interrupted || len(cs) == 0 {
 		t.Fatal("expected at least one contrast clique")
 	}
 	if math.Abs(cs[0].Affinity-2.25) > 1e-6 {
@@ -82,14 +85,15 @@ func TestPublicTopContrastCliques(t *testing.T) {
 
 func TestPublicMaxTotalWeight(t *testing.T) {
 	g1, g2 := fig1()
-	res := FindMaxTotalWeightSubgraph(g1, g2)
+	gd := Difference(g1, g2)
+	res := FindMaxTotalWeightSubgraphOnCtx(bg, gd)
 	// Optimum: all positive edges {v1,v2,v3,v4,v5} minus the −1 edge cost…
 	// best is {0,1,2,3} with W = 2(1+3+4+3) = 22 or all 5 with
 	// W = 2(1+3+4+3−1+1) = 22; either way 22.
 	if math.Abs(res.TotalWeight-22) > 1e-9 {
 		t.Fatalf("total weight = %v (S=%v), want 22", res.TotalWeight, res.S)
 	}
-	ad := FindAverageDegreeDCS(g1, g2)
+	ad := FindAverageDegreeDCSOnParCtx(bg, gd, 1)
 	if res.TotalWeight < ad.TotalWeight {
 		t.Fatal("total-weight objective must dominate the density solution's weight")
 	}
@@ -117,13 +121,13 @@ func TestPublicTopK(t *testing.T) {
 			b2.AddEdge(u, v, 2)
 		}
 	}
-	g1, g2 := b1.Build(), b2.Build()
-	ads := TopKAverageDegreeDCS(g1, g2, 5)
-	if len(ads) != 2 {
+	gd := Difference(b1.Build(), b2.Build())
+	ads, interrupted := TopKAverageDegreeDCSOnParCtx(bg, gd, 5, 1)
+	if interrupted || len(ads) != 2 {
 		t.Fatalf("want 2 disjoint AD contrasts, got %d", len(ads))
 	}
-	gas := TopKGraphAffinityDCS(g1, g2, 5, nil)
-	if len(gas) != 2 {
+	gas, interrupted := TopKGraphAffinityDCSOnCtx(bg, gd, 5, nil)
+	if interrupted || len(gas) != 2 {
 		t.Fatalf("want 2 disjoint GA contrasts, got %d", len(gas))
 	}
 	if gas[0].Affinity < gas[1].Affinity {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -117,7 +118,8 @@ func main() {
 	fmt.Printf("vocabulary: %d keywords; associations: era1 %d, era2 %d\n\n",
 		len(words), g1.M(), g2.M())
 
-	show := func(dir string, cliques []dcs.ContrastClique) {
+	show := func(dir string, a, b *dcs.Graph) {
+		cliques, _ := dcs.TopContrastCliquesOnCtx(context.Background(), dcs.Difference(a, b), nil)
 		fmt.Printf("top %s topics:\n", dir)
 		for i, c := range cliques {
 			if i >= 5 {
@@ -134,6 +136,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-	show("emerging", dcs.TopContrastCliques(g1, g2, nil))
-	show("disappearing", dcs.TopContrastCliques(g2, g1, nil))
+	show("emerging", g1, g2)
+	show("disappearing", g2, g1)
 }

@@ -65,35 +65,21 @@ func newADResult(gd *graph.Graph, S []int, ratio float64) ADResult {
 //
 // Total cost is O((m+n) log n).
 func DCSGreedy(gd *graph.Graph) ADResult {
-	return dcsGreedyRS(gd, runstate.New(nil))
+	return dcsGreedyParRS(gd, runstate.New(nil), 1)
 }
 
-// DCSGreedyCtx is DCSGreedy with cooperative cancellation: when ctx is done
-// the peeling stops within one checkpoint interval and the best subgraph seen
-// so far is returned, tagged Interrupted (with no approximation certificate).
-func DCSGreedyCtx(ctx context.Context, gd *graph.Graph) ADResult {
-	return dcsGreedyRS(gd, runstate.New(ctx))
-}
-
-// DCSGreedyPar is DCSGreedy with the expensive parts spread over at most
-// workers goroutines: the Greedy(GD) and Greedy(GD+) peels run concurrently,
+// DCSGreedyCtx is DCSGreedy with cooperative cancellation and the expensive
+// parts spread over at most workers goroutines. When ctx is done the peeling
+// stops within one checkpoint interval and the best subgraph seen so far is
+// returned, tagged Interrupted (with no approximation certificate); a
+// cancelled parallel solve assembles it from the completed peel prefixes.
+// With workers > 1 the Greedy(GD) and Greedy(GD+) peels run concurrently,
 // and each peel fans its connected components out on the worker pool (see
 // densest.GreedyParRS). The candidate comparison, component refinement and
 // certificate arithmetic stay sequential, so the result is bitwise identical
 // to DCSGreedy at every degree; workers ≤ 1 is exactly DCSGreedy.
-func DCSGreedyPar(gd *graph.Graph, workers int) ADResult {
-	return dcsGreedyParRS(gd, runstate.New(nil), workers)
-}
-
-// DCSGreedyParCtx is DCSGreedyPar with cooperative cancellation, combining
-// the contracts of DCSGreedyCtx and DCSGreedyPar: a cancelled parallel solve
-// still returns the best subgraph assembled from the completed peel prefixes.
-func DCSGreedyParCtx(ctx context.Context, gd *graph.Graph, workers int) ADResult {
+func DCSGreedyCtx(ctx context.Context, gd *graph.Graph, workers int) ADResult {
 	return dcsGreedyParRS(gd, runstate.New(ctx), workers)
-}
-
-func dcsGreedyRS(gd *graph.Graph, rs *runstate.State) ADResult {
-	return dcsGreedyParRS(gd, rs, 1)
 }
 
 func dcsGreedyParRS(gd *graph.Graph, rs *runstate.State, workers int) ADResult {
@@ -113,8 +99,8 @@ func dcsGreedyParRS(gd *graph.Graph, rs *runstate.State, workers int) ADResult {
 	var s1, s2 densest.Result
 	workers = par.Workers(workers)
 	if workers <= 1 {
-		s1 = densest.GreedyRS(gd, rs)
-		s2 = densest.GreedyRS(gdp, rs)
+		s1 = densest.GreedyParRS(gd, rs, 1)
+		s2 = densest.GreedyParRS(gdp, rs, 1)
 	} else {
 		graphs := [2]*graph.Graph{gd, gdp}
 		var out [2]densest.Result

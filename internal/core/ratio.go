@@ -34,49 +34,35 @@ type RatioResult struct {
 // true supremum: the witness S always satisfies the inequality, which is
 // re-checked before returning.
 //
-// The search runs iters rounds of binary search over [0, hi], where hi is
-// derived from the heaviest G2 edge against the lightest G1 edge. Zero or
-// negative iters selects 60 rounds.
-func MaxRatioContrast(g1, g2 *graph.Graph, iters int) RatioResult {
-	return maxRatioContrastRS(g1, g2, iters, runstate.New(nil))
+// The search runs ratioRounds rounds of binary search over [0, hi], where hi
+// is derived from the heaviest G2 edge against the lightest G1 edge.
+func MaxRatioContrast(g1, g2 *graph.Graph) RatioResult {
+	return maxRatioContrastParRS(g1, g2, runstate.New(nil), 1)
 }
 
-// MaxRatioContrastCtx is MaxRatioContrast with cooperative cancellation: the
-// binary search stops after the probe in flight and returns the best
-// certified witness so far, tagged Interrupted.
-func MaxRatioContrastCtx(ctx context.Context, g1, g2 *graph.Graph, iters int) RatioResult {
-	return maxRatioContrastRS(g1, g2, iters, runstate.New(ctx))
-}
-
-// MaxRatioContrastPar is MaxRatioContrast with concurrent binary-search
-// probes: each round expands the first `workers` nodes of the search's
-// decision tree in breadth-first order — every node is an (lo, hi) interval
-// whose probe is the midpoint, with a feasible child (mid, hi) and an
-// infeasible child (lo, mid) — probes them all speculatively in parallel, and
-// then commits only the path the sequential search would have walked.
+// MaxRatioContrastCtx is MaxRatioContrast with cooperative cancellation and
+// concurrent binary-search probes. When ctx is done the round in flight
+// finishes and the best certified witness committed so far is returned,
+// tagged Interrupted.
+//
+// With workers > 1 each round expands the first `workers` nodes of the
+// search's decision tree in breadth-first order — every node is an (lo, hi)
+// interval whose probe is the midpoint, with a feasible child (mid, hi) and
+// an infeasible child (lo, mid) — probes them all speculatively in parallel,
+// and then commits only the path the sequential search would have walked.
 // Because each probe's outcome is a deterministic function of its α alone,
 // the committed (lo, hi) trajectory is bitwise identical to the sequential
 // search at every degree; roughly half the speculative probes are wasted in
 // exchange for advancing ⌈log2(workers)⌉+1 levels per round.
-func MaxRatioContrastPar(g1, g2 *graph.Graph, iters, workers int) RatioResult {
-	return maxRatioContrastParRS(g1, g2, iters, runstate.New(nil), workers)
+func MaxRatioContrastCtx(ctx context.Context, g1, g2 *graph.Graph, workers int) RatioResult {
+	return maxRatioContrastParRS(g1, g2, runstate.New(ctx), workers)
 }
 
-// MaxRatioContrastParCtx is MaxRatioContrastPar with cooperative
-// cancellation: the round in flight finishes and the best certified witness
-// committed so far is returned, tagged Interrupted.
-func MaxRatioContrastParCtx(ctx context.Context, g1, g2 *graph.Graph, iters, workers int) RatioResult {
-	return maxRatioContrastParRS(g1, g2, iters, runstate.New(ctx), workers)
-}
+// ratioRounds is the number of binary-search rounds MaxRatioContrast runs
+// (fewer when the bracket closes to float64 precision first).
+const ratioRounds = 60
 
-func maxRatioContrastRS(g1, g2 *graph.Graph, iters int, rs *runstate.State) RatioResult {
-	return maxRatioContrastParRS(g1, g2, iters, rs, 1)
-}
-
-func maxRatioContrastParRS(g1, g2 *graph.Graph, iters int, rs *runstate.State, workers int) RatioResult {
-	if iters <= 0 {
-		iters = 60
-	}
+func maxRatioContrastParRS(g1, g2 *graph.Graph, rs *runstate.State, workers int) RatioResult {
 	// Unbounded case: an edge in G2 with no G1 counterpart keeps positive
 	// difference weight for every α.
 	bestOnly := graph.Edge{W: 0}
@@ -116,7 +102,7 @@ func maxRatioContrastParRS(g1, g2 *graph.Graph, iters int, rs *runstate.State, w
 	}
 	feasible := func(alpha float64, frs *runstate.State) ([]int, bool) {
 		gd := graph.DifferenceAlpha(g1, g2, alpha)
-		res := dcsGreedyRS(gd, frs)
+		res := dcsGreedyParRS(gd, frs, 1)
 		// An interrupted probe with positive density is still a valid
 		// certificate — any S with ρ_D(S) > 0 proves ρ2(S) > α·ρ1(S), no
 		// matter how early the greedy was cut — so the witness is kept (the
@@ -141,7 +127,7 @@ func maxRatioContrastParRS(g1, g2 *graph.Graph, iters int, rs *runstate.State, w
 	hiBound := hi * (1 + 1e-9)
 	workers = par.Workers(workers)
 	if workers <= 1 {
-		for it := 0; it < iters && hiBound-lo > 1e-12*(1+hiBound); it++ {
+		for it := 0; it < ratioRounds && hiBound-lo > 1e-12*(1+hiBound); it++ {
 			if rs.Cancelled() {
 				break // keep the last certified witness
 			}
@@ -163,7 +149,7 @@ func maxRatioContrastParRS(g1, g2 *graph.Graph, iters int, rs *runstate.State, w
 		// witness survives.
 		type node struct{ l, h float64 }
 		it := 0
-		for it < iters && hiBound-lo > 1e-12*(1+hiBound) {
+		for it < ratioRounds && hiBound-lo > 1e-12*(1+hiBound) {
 			if rs.Cancelled() {
 				break
 			}
@@ -196,7 +182,7 @@ func maxRatioContrastParRS(g1, g2 *graph.Graph, iters int, rs *runstate.State, w
 			for i, nd := range batch {
 				probed[nd] = i
 			}
-			for it < iters && hiBound-lo > 1e-12*(1+hiBound) {
+			for it < ratioRounds && hiBound-lo > 1e-12*(1+hiBound) {
 				if rs.Cancelled() {
 					break
 				}

@@ -42,16 +42,6 @@ func Greedy(g *graph.Graph) Result {
 	return GreedyParRS(g, runstate.New(nil), 1)
 }
 
-// GreedyRS is Greedy with a cancellation checkpoint per peeling step. When rs
-// reports cancellation the peel stops early and the best prefix evaluated so
-// far is returned — a valid (if possibly suboptimal) subgraph, since every
-// prefix of the removal order is a candidate of the full algorithm. The
-// current prefix is always evaluated before the checkpoint, so the result is
-// never empty on a non-empty graph.
-func GreedyRS(g *graph.Graph, rs *runstate.State) Result {
-	return GreedyParRS(g, rs, 1)
-}
-
 // GreedyPar is Greedy with the peel distributed over at most workers
 // goroutines; see GreedyParRS for the parallel round design. Results are
 // bitwise identical at every degree.

@@ -291,7 +291,7 @@ func (t *Tracker) mineFull(ctx context.Context, gd *graph.Graph) (rep Report, so
 		}
 		return rep, res.S
 	}
-	res := core.DCSGreedyCtx(ctx, gd)
+	res := core.DCSGreedyCtx(ctx, gd, 1)
 	rep.Interrupted = res.Interrupted
 	if res.Density > t.cfg.MinDensity {
 		rep.S = res.S
@@ -331,7 +331,7 @@ func (t *Tracker) finishTickLocked(rep *Report, solved []int, scratch bool) {
 // tracker untouched) when the observation's vertex count does not match the
 // tracker's.
 //
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context, matching the public dcs wrappers' contract
+//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; callers that need cancellation use the Ctx form
 func (t *Tracker) Observe(observed *graph.Graph) (Report, error) {
 	return t.ObserveCtx(context.Background(), observed)
 }

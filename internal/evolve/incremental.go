@@ -41,7 +41,7 @@ func validateDelta(n int, delta []graph.Edge) error {
 // semantics: each entry sets an edge's weight, 0 removes, last duplicate
 // wins) and runs one tick of the incremental engine. See ObserveDeltaCtx.
 //
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context, matching the public dcs wrappers' contract
+//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context; callers that need cancellation use the Ctx form
 func (t *Tracker) ObserveDelta(delta []graph.Edge) (Report, error) {
 	return t.ObserveDeltaCtx(context.Background(), delta)
 }

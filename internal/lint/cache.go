@@ -33,7 +33,7 @@ import (
 
 // cacheSchemaVersion invalidates every entry when the cached representation
 // or any analyzer's behavior changes. Bump it on any analyzer change.
-const cacheSchemaVersion = "dcsvet-cache-2"
+const cacheSchemaVersion = "dcsvet-cache-3"
 
 // A Cache is a directory of serialized per-package analysis results.
 type Cache struct {

@@ -44,11 +44,11 @@
 //     transferred; goroutines launched in serve/ need a stop or completion
 //     signal.
 //
-//   - ctxflow (error): library code must not mint root contexts — the
-//     cancellation capability flows down from the caller (PR 3/9) — and a
-//     function holding a ctx must call the Ctx variant of any callee that
-//     has one. The documented context-free delegation shims carry a
-//     function-level allow in their doc comment.
+//   - ctxflow (error): library code (every non-main package) must not
+//     mint root contexts — the cancellation capability flows down from the
+//     caller (PR 3/9) — and a function holding a ctx must call the Ctx
+//     variant of any callee that has one. The documented context-free
+//     delegation shims carry a function-level allow in their doc comment.
 //
 // The framework below deliberately mirrors the golang.org/x/tools
 // go/analysis API (Analyzer, Pass, object Facts, Reportf, an
@@ -483,16 +483,4 @@ func isRunstateState(t types.Type) bool {
 // fixture stub of it).
 func isGraphPackage(path string) bool {
 	return pathMatch(path, "internal/graph")
-}
-
-// isCmdPackage reports whether path is a main-command package (under a
-// cmd/ element): binaries own their process lifetime and may mint root
-// contexts, so ctxflow exempts them.
-func isCmdPackage(path string) bool {
-	for _, seg := range strings.Split(path, "/") {
-		if seg == "cmd" {
-			return true
-		}
-	}
-	return false
 }

@@ -1,4 +1,4 @@
-// Binary entry points own their root contexts: ctxflow skips cmd packages.
+// Binary entry points own their root contexts: ctxflow skips main packages.
 package main
 
 import "context"

@@ -1,6 +1,7 @@
 package partest
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"reflect"
@@ -74,7 +75,7 @@ func TestDCSGreedyParMatchesSequential(t *testing.T) {
 				t.Fatalf("%s round %d: sequential result invalid: %v", fx.name, round, err)
 			}
 			for _, deg := range Degrees {
-				got := core.DCSGreedyPar(fx.g, deg)
+				got := core.DCSGreedyCtx(context.Background(), fx.g, deg)
 				if !reflect.DeepEqual(got, seq) {
 					t.Fatalf("%s round %d degree %d:\n got %+v\nwant %+v", fx.name, round, deg, got, seq)
 				}
@@ -92,8 +93,8 @@ func TestTopKParMatchesSequential(t *testing.T) {
 		for _, fx := range adFixtures(rng) {
 			seq := core.TopKAverageDegree(fx.g, 4)
 			for _, deg := range Degrees {
-				got := core.TopKAverageDegreePar(fx.g, 4, deg)
-				if !reflect.DeepEqual(got, seq) {
+				got, interrupted := core.TopKAverageDegreeCtx(context.Background(), fx.g, 4, deg)
+				if interrupted || !reflect.DeepEqual(got, seq) {
 					t.Fatalf("%s round %d degree %d:\n got %+v\nwant %+v", fx.name, round, deg, got, seq)
 				}
 				for i, res := range got {
@@ -121,9 +122,9 @@ func TestRatioParMatchesSequential(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		for _, tc := range cases {
 			g1, g2 := PositivePair(rng, tc.n, tc.p, tc.overlap)
-			seq := core.MaxRatioContrast(g1, g2, 0)
+			seq := core.MaxRatioContrast(g1, g2)
 			for _, deg := range Degrees {
-				got := core.MaxRatioContrastPar(g1, g2, 0, deg)
+				got := core.MaxRatioContrastCtx(context.Background(), g1, g2, deg)
 				if !reflect.DeepEqual(got, seq) {
 					t.Fatalf("%s round %d degree %d:\n got %+v\nwant %+v", tc.name, round, deg, got, seq)
 				}

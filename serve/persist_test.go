@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"math"
 	"net/http"
 	"os"
@@ -9,6 +12,7 @@ import (
 	"testing"
 
 	dcs "github.com/dcslib/dcs"
+	"github.com/dcslib/dcs/internal/dataio"
 )
 
 // openTest opens a persistent server over dir with the periodic checkpoint
@@ -373,6 +377,116 @@ func TestWatchDeltaResume(t *testing.T) {
 	for _, r := range ring.Reports {
 		if r.Step == 4 && r.Mode != "scratch" {
 			t.Fatalf("first post-restart delta tick mode %q, want scratch", r.Mode)
+		}
+	}
+}
+
+// graphBytes encodes g canonically, so two graphs compare bitwise by bytes.
+func graphBytes(t *testing.T, g *dcs.Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := dcs.WriteGraphBinaryV2(&buf, g, false); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// binaryFileVersion reads the format version from a binary graph file's
+// header.
+func binaryFileVersion(t *testing.T, path string) uint16 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil || len(data) < 6 {
+		t.Fatalf("read %s: %v (%d bytes)", path, err, len(data))
+	}
+	return binary.LittleEndian.Uint16(data[4:6])
+}
+
+// TestWatchV1CheckpointLoads boots from a data directory whose watch
+// checkpoint holds version-1 graph files, the format watch checkpoints were
+// written in before they moved to version 2. The watch must come back at
+// the same step with a bitwise-identical expectation and delta base, and
+// its next checkpoint is written as version 2.
+func TestWatchV1CheckpointLoads(t *testing.T) {
+	dir := t.TempDir()
+	snaps := watchStream(42, 24, 6, 4, []int{2, 5, 7, 11})
+	s := openTest(t, dir)
+	registerTestWatch(t, s, WatchRequest{Name: "w", N: 24, Lambda: 0.5, MinDensity: 3})
+	for _, g := range snaps[:4] {
+		g := g
+		observeWatch(t, s, "w", WatchObserveRequest{Graph: &g})
+	}
+	s.Flush()
+	wt, ok := s.watches.get("w")
+	if !ok {
+		t.Fatal("watch missing before restart")
+	}
+	man, expect, last := wt.checkpointState()
+	s.Close()
+
+	watchDir := filepath.Join(dir, "watches")
+	readManifest := func() watchManifest {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(watchDir, fsKey("w")+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m watchManifest
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	onDisk := readManifest()
+	for _, f := range []struct {
+		name string
+		g    *dcs.Graph
+	}{{onDisk.ExpectFile, expect}, {onDisk.LastFile, last}} {
+		path := filepath.Join(watchDir, f.name)
+		if v := binaryFileVersion(t, path); v != 2 {
+			t.Fatalf("%s written as version %d, want 2", f.name, v)
+		}
+		var buf bytes.Buffer
+		if err := dataio.WriteBinary(&buf, f.g); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if v := binaryFileVersion(t, path); v != 1 {
+			t.Fatalf("%s rewritten as version %d, want 1", f.name, v)
+		}
+	}
+
+	s2 := openTest(t, dir)
+	defer s2.Close()
+	if st := s2.PersistStats(); st.WatchesRestored != 1 || st.RestoreErrors != 0 {
+		t.Fatalf("stats %+v, want 1 watch restored without errors", st)
+	}
+	wt2, ok := s2.watches.get("w")
+	if !ok {
+		t.Fatal("v1 checkpoint not restored")
+	}
+	man2, expect2, last2 := wt2.checkpointState()
+	if man2.Step != man.Step || man2.Step != 4 {
+		t.Fatalf("restored step %d, want %d", man2.Step, man.Step)
+	}
+	if !bytes.Equal(graphBytes(t, expect2), graphBytes(t, expect)) {
+		t.Fatal("restored expectation differs from the checkpointed one")
+	}
+	if !bytes.Equal(graphBytes(t, last2), graphBytes(t, last)) {
+		t.Fatal("restored delta base differs from the checkpointed one")
+	}
+
+	g := snaps[4]
+	if rep := observeWatch(t, s2, "w", WatchObserveRequest{Graph: &g}); rep.Step != 5 {
+		t.Fatalf("first observe after restart: step %d, want 5", rep.Step)
+	}
+	s2.Flush()
+	next := readManifest()
+	for _, f := range []string{next.ExpectFile, next.LastFile} {
+		if v := binaryFileVersion(t, filepath.Join(watchDir, f)); v != 2 {
+			t.Fatalf("re-checkpointed %s as version %d, want 2", f, v)
 		}
 	}
 }
