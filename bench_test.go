@@ -143,7 +143,8 @@ func BenchmarkTableXIV(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Component micro-benchmarks and ablations (DESIGN.md design choices).
+// Component micro-benchmarks and ablations of the design choices the package
+// docs describe (e.g. the substitution note in internal/egoscan).
 
 // benchGD builds a mid-size signed difference graph once.
 func benchGD(b *testing.B) *graph.Graph {

@@ -188,7 +188,7 @@ func main() {
 	// observe answered 200 during shutdown must make it into the final
 	// flush — then checkpoints outstanding watch state. Snapshots need
 	// nothing: they are mirrored write-through.
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv, readHeaderTimeout)
 	done := make(chan struct{})
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
@@ -209,4 +209,15 @@ func main() {
 		log.Fatal(err)
 	}
 	<-done
+}
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// line and headers, so slow-header (slowloris) clients cannot pin
+// connections. It is deliberately not a read or idle timeout: large uploads
+// and idle keep-alive connections are unaffected.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds dcsd's listener configuration around handler h.
+func newHTTPServer(addr string, h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: headerTimeout}
 }

@@ -13,7 +13,8 @@ import (
 // AblationRow compares DCSGreedy's heuristic certificate against the exact
 // Goldberg upper bound and positions the OQC quasi-clique baseline (ref [24])
 // on the same difference graph. These are extensions beyond the paper's
-// tables, probing the design choices DESIGN.md calls out.
+// tables, probing the design choices the package docs call out (see the
+// substitution note in internal/egoscan).
 type AblationRow struct {
 	Dataset *Dataset
 

@@ -6,9 +6,10 @@
 // *structural* properties the DCS algorithms are sensitive to — power-law
 // degree backgrounds, planted dense groups whose connection strength rises or
 // falls between the two snapshots, signed weights with the m+/m− imbalances
-// of Table II, and the paper's Weighted/Discrete weight settings. See
-// DESIGN.md §4 for the substitution rationale. Default scales are laptop
-// sized (thousands of vertices); every config exposes size knobs.
+// of Table II, and the paper's Weighted/Discrete weight settings. The
+// substitution note in the internal/egoscan package doc gives the rationale.
+// Default scales are laptop sized (thousands of vertices); every config
+// exposes size knobs.
 package datagen
 
 import (

@@ -5,19 +5,30 @@
 // EgoScan maximizes the *total* edge-weight difference W_D(S) over S ⊆ V on a
 // signed difference graph — not a density. The original algorithm scans the
 // ego net of every vertex and rounds a semidefinite-programming relaxation
-// inside each ego net. An SDP solver is far outside this repository's
+// inside each ego net.
+//
+// Substitution note. An SDP solver is far outside this repository's
 // stdlib-only scope (and is exactly what made EgoScan slow and memory-hungry
 // in the paper's experiments), so this implementation keeps the algorithmic
 // skeleton — an ego-net scan with local candidate construction — and replaces
 // the SDP rounding with a deterministic greedy grow/prune local search on the
 // same objective. The qualitative behaviour the paper reports is preserved:
 // the subgraphs found are much larger than any DCS, have far higher total
-// weight, and far lower density. See DESIGN.md §4 for the substitution note.
+// weight, and far lower density. The synthetic datasets of internal/datagen
+// stand in for the paper's real ones on the same grounds.
+//
+// A scan runs on one dense workspace indexed by vertex id — membership marks,
+// per-vertex gains, a touched list and the sorted member list — allocated
+// once per scan and reused by every seed. Scratch is cleared through the
+// touched and member lists, so a seed costs O(vol(S) + boundary) per round,
+// never O(n), and every gain is summed over the members in increasing id
+// order, which makes results bitwise reproducible.
 package egoscan
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"github.com/dcslib/dcs/internal/graph"
 	"github.com/dcslib/dcs/internal/runstate"
@@ -54,19 +65,60 @@ func (o Options) withDefaults() Options {
 // Scan runs the ego-net scan on a difference graph and returns the best
 // total-weight subgraph found.
 func Scan(gd *graph.Graph, opt Options) Result {
-	return scanRS(gd, opt, runstate.New(nil))
+	return newWorkspace(gd).scan(opt, runstate.New(nil))
 }
 
 // ScanCtx is Scan with cooperative cancellation: when ctx is done the scan
 // stops within one checkpoint interval and returns the best candidate found
 // so far, tagged Interrupted.
 func ScanCtx(ctx context.Context, gd *graph.Graph, opt Options) Result {
-	return scanRS(gd, opt, runstate.New(ctx))
+	return newWorkspace(gd).scan(opt, runstate.New(ctx))
 }
 
-func scanRS(gd *graph.Graph, opt Options, rs *runstate.State) Result {
-	opt = opt.withDefaults()
+// workspace is the dense scratch of one scan over one graph, indexed by
+// vertex id. Between grow rounds gain and mark are zero and touched is empty;
+// in holds exactly the vertices on members until the next seed starts or the
+// scan ends, when they are cleared through that list. Nothing is ever reset
+// in O(n).
+type workspace struct {
+	gd  *graph.Graph
+	off []int            // gd's CSR offsets
+	nbr []graph.Neighbor // gd's CSR adjacency: row u is nbr[off[u]:off[u+1]]
+
+	in      []bool    // v ∈ S
+	gain    []float64 // Σ_{u∈S} w(v,u) for boundary vertices v during a grow round
+	mark    []bool    // v is on touched
+	touched []int     // the boundary vertices with a gain entry this round
+	members []int     // S in increasing id order
+}
+
+// newWorkspace sizes a workspace for gd. The scan reads gd's CSR rows
+// directly: zero-copy on a plain graph, while a view or a backed graph is
+// flattened onto the heap once here. Neither list can outgrow n, so no
+// append in the scan ever reallocates.
+func newWorkspace(gd *graph.Graph) *workspace {
 	n := gd.N()
+	off, nbr := gd.CSR()
+	return &workspace{
+		gd:      gd,
+		off:     off,
+		nbr:     nbr,
+		in:      make([]bool, n),
+		gain:    make([]float64, n),
+		mark:    make([]bool, n),
+		touched: make([]int, 0, n),
+		members: make([]int, 0, n),
+	}
+}
+
+// row returns u's neighbors in increasing id order.
+func (ws *workspace) row(u int) []graph.Neighbor { return ws.nbr[ws.off[u]:ws.off[u+1]] }
+
+// scan tries the seeds in order and keeps the heaviest candidate. It leaves
+// the workspace all-zero.
+func (ws *workspace) scan(opt Options, rs *runstate.State) Result {
+	opt = opt.withDefaults()
+	n := ws.gd.N()
 	if n == 0 {
 		return Result{}
 	}
@@ -77,21 +129,21 @@ func scanRS(gd *graph.Graph, opt Options, rs *runstate.State) Result {
 		if rs.Checkpoint() {
 			break // unseen seeds keep degree 0, sort last, and are skipped below
 		}
-		gd.VisitNeighbors(v, func(_ int, w float64) {
-			if w > 0 {
-				posDeg[v] += w
+		for _, nb := range ws.row(v) {
+			if nb.W > 0 {
+				posDeg[v] += nb.W
 			}
-		})
+		}
 	}
 	seeds := make([]int, n)
 	for i := range seeds {
 		seeds[i] = i
 	}
-	sort.Slice(seeds, func(i, j int) bool {
-		if posDeg[seeds[i]] != posDeg[seeds[j]] {
-			return posDeg[seeds[i]] > posDeg[seeds[j]]
+	slices.SortFunc(seeds, func(a, b int) int {
+		if c := cmp.Compare(posDeg[b], posDeg[a]); c != 0 {
+			return c
 		}
-		return seeds[i] < seeds[j]
+		return cmp.Compare(a, b)
 	})
 	if opt.MaxSeeds > 0 && opt.MaxSeeds < len(seeds) {
 		seeds = seeds[:opt.MaxSeeds]
@@ -110,25 +162,26 @@ func scanRS(gd *graph.Graph, opt Options, rs *runstate.State) Result {
 		if seenSeed[s] {
 			continue // already absorbed into an earlier candidate
 		}
-		S := growPrune(gd, s, opt.MaxGrowRounds, rs)
+		S := ws.growPrune(s, opt.MaxGrowRounds, rs)
 		for _, v := range S {
 			seenSeed[v] = true
 		}
-		if w := gd.TotalDegreeOf(S); w > bestW {
+		if w := ws.weight(); w > bestW {
 			bestW = w
-			bestS = S
+			bestS = append(bestS[:0], S...)
 		}
 	}
+	ws.clear()
 	if bestS == nil {
 		bestS = []int{0}
 	}
-	sort.Ints(bestS)
+	w, rho, ed := ws.gd.SubgraphMetrics(bestS)
 	return Result{
 		S:              bestS,
-		TotalWeight:    gd.TotalDegreeOf(bestS),
-		Density:        gd.AverageDegreeOf(bestS),
-		EdgeDensity:    gd.EdgeDensityOf(bestS),
-		PositiveClique: gd.IsPositiveClique(bestS),
+		TotalWeight:    w,
+		Density:        rho,
+		EdgeDensity:    ed,
+		PositiveClique: ws.gd.IsPositiveClique(bestS),
 		Interrupted:    rs.Interrupted(),
 	}
 }
@@ -139,75 +192,134 @@ func scanRS(gd *graph.Graph, opt Options, rs *runstate.State) Result {
 // in-set degree is negative, until a fixed point or the round budget runs
 // out. Every step strictly increases W_D(S), so termination is guaranteed
 // even without the budget; the budget just caps worst-case work per seed.
-func growPrune(gd *graph.Graph, s int, maxRounds int, rs *runstate.State) []int {
-	in := map[int]bool{s: true}
-	gd.VisitNeighbors(s, func(v int, w float64) {
-		if w > 0 {
-			in[v] = true
+// A cancelled call returns the member set it holds at that point. The result
+// is the workspace's member list, valid until the next growPrune or clear.
+func (ws *workspace) growPrune(s int, maxRounds int, rs *runstate.State) []int {
+	ws.clear()
+	ws.in[s] = true
+	ws.members = append(ws.members, s)
+	for _, nb := range ws.row(s) {
+		if nb.W > 0 {
+			ws.in[nb.To] = true
+			ws.members = append(ws.members, nb.To)
 		}
-	})
+	}
+	slices.Sort(ws.members)
 	for round := 0; round < maxRounds; round++ {
-		changed := false
-		// Grow: marginal gain of adding v is 2·Σ_{u∈S} w(v,u).
-		gain := make(map[int]float64)
-		for u := range in {
+		// Grow: marginal gain of adding v is 2·Σ_{u∈S} w(v,u). Additions
+		// take effect only once every gain of the round is summed.
+		for _, u := range ws.members {
 			if rs.Checkpoint() {
 				// Mid-grow cancellation: the current member set is already a
 				// valid candidate; hand it back as-is.
-				return sortedMembers(in)
+				ws.dropGains()
+				return ws.members
 			}
-			gd.VisitNeighbors(u, func(v int, w float64) {
-				if !in[v] {
-					gain[v] += w
+			for _, nb := range ws.row(u) {
+				v := nb.To
+				if ws.in[v] {
+					continue
 				}
-			})
-		}
-		// Deterministic iteration order.
-		cands := make([]int, 0, len(gain))
-		for v := range gain {
-			cands = append(cands, v)
-		}
-		sort.Ints(cands)
-		for _, v := range cands {
-			if gain[v] > 0 {
-				in[v] = true
-				changed = true
+				if !ws.mark[v] {
+					ws.mark[v] = true
+					ws.touched = append(ws.touched, v)
+				}
+				ws.gain[v] += nb.W
 			}
 		}
-		// Prune: drop members with negative in-set degree. Recompute after
-		// each removal batch; one batch per round keeps cost linear.
-		members := make([]int, 0, len(in))
-		for v := range in {
-			members = append(members, v)
-		}
-		sort.Ints(members)
-		for _, v := range members {
+		changed := ws.addPositiveGains()
+		// Prune: drop members with negative in-set degree, in increasing id
+		// order; a removal is seen by every later member of the pass.
+		for _, v := range ws.members {
 			if rs.Checkpoint() {
-				return sortedMembers(in)
+				ws.compact()
+				return ws.members
 			}
 			var d float64
-			gd.VisitNeighbors(v, func(u int, w float64) {
-				if in[u] {
-					d += w
+			for _, nb := range ws.row(v) {
+				if ws.in[nb.To] {
+					d += nb.W
 				}
-			})
+			}
 			if d < 0 {
-				delete(in, v)
+				ws.in[v] = false
 				changed = true
 			}
 		}
+		ws.compact()
 		if !changed {
 			break
 		}
 	}
-	return sortedMembers(in)
+	return ws.members
 }
 
-func sortedMembers(in map[int]bool) []int {
-	out := make([]int, 0, len(in))
-	for v := range in {
-		out = append(out, v)
+// addPositiveGains moves the touched vertices with positive gain into S,
+// merging them into the sorted member list, clears the round's gain scratch,
+// and reports whether any vertex was added.
+func (ws *workspace) addPositiveGains() bool {
+	add := ws.touched[:0]
+	for _, v := range ws.touched {
+		if ws.gain[v] > 0 {
+			add = append(add, v)
+		}
+		ws.gain[v] = 0
+		ws.mark[v] = false
 	}
-	sort.Ints(out)
-	return out
+	ws.touched = ws.touched[:0]
+	if len(add) == 0 {
+		return false
+	}
+	slices.Sort(add)
+	// Merge from the back so members is extended in place.
+	i, j := len(ws.members)-1, len(add)-1
+	ws.members = ws.members[:len(ws.members)+len(add)]
+	for k := len(ws.members) - 1; j >= 0; k-- {
+		if i >= 0 && ws.members[i] > add[j] {
+			ws.members[k] = ws.members[i]
+			i--
+		} else {
+			ws.in[add[j]] = true
+			ws.members[k] = add[j]
+			j--
+		}
+	}
+	return true
+}
+
+// dropGains clears a grow round that was cut short.
+func (ws *workspace) dropGains() {
+	for _, v := range ws.touched {
+		ws.gain[v] = 0
+		ws.mark[v] = false
+	}
+	ws.touched = ws.touched[:0]
+}
+
+// compact removes pruned vertices (in[v] == false) from the member list.
+func (ws *workspace) compact() {
+	ws.members = slices.DeleteFunc(ws.members, func(v int) bool { return !ws.in[v] })
+}
+
+// weight returns W_D(S) of the member set, summed exactly as TotalDegreeOf
+// sums it over the sorted set.
+func (ws *workspace) weight() float64 {
+	var w float64
+	//lint:allow loopcheck -- one O(vol(S)) walk of the candidate growPrune just built under per-member checkpoints
+	for _, u := range ws.members {
+		for _, nb := range ws.row(u) {
+			if ws.in[nb.To] {
+				w += nb.W
+			}
+		}
+	}
+	return w
+}
+
+// clear empties the member set.
+func (ws *workspace) clear() {
+	for _, v := range ws.members {
+		ws.in[v] = false
+	}
+	ws.members = ws.members[:0]
 }
