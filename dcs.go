@@ -84,13 +84,14 @@ type Builder = graph.Builder
 // Edge is an undirected weighted edge.
 type Edge = graph.Edge
 
-// Neighbor is one adjacency-list entry.
-type Neighbor = graph.Neighbor
-
 // Stats summarizes a graph in the paper's Table II format.
 type Stats = graph.Stats
 
-// NewBuilder returns a Builder for a graph with n vertices.
+// MaxN is the largest vertex count a Graph can hold.
+const MaxN = graph.MaxN
+
+// NewBuilder returns a Builder for a graph with n vertices. It panics if n
+// is negative or exceeds MaxN.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
 // FromEdges builds a Graph with n vertices from an edge list.

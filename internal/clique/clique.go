@@ -125,9 +125,7 @@ func buildAdj(g *graph.Graph) []map[int]bool {
 	adj := make([]map[int]bool, g.N())
 	for v := 0; v < g.N(); v++ {
 		row := make(map[int]bool, g.OutDegree(v))
-		for _, nb := range g.Neighbors(v) {
-			row[nb.To] = true
-		}
+		g.VisitNeighbors(v, func(u int, _ float64) { row[u] = true })
 		adj[v] = row
 	}
 	return adj

@@ -11,17 +11,22 @@ import (
 // incrementally for every u ∈ S so that one iteration costs O(|S|) for the
 // coordinate pick plus O(deg(i)+deg(j)) for the update — the costs quoted in
 // Section V-B. x, the S marks and the (Dx)_u values live in the worker's dense
-// workspace (InS and Dx); release clears them again.
+// workspace (InS and Dx); release clears them again. The inner loops read
+// g's CSR rows directly (g is plain, so CSR is zero-copy).
 type cdState struct {
-	g  *graph.Graph
-	ws *simplex.Workspace
-	S  []int
+	g   *graph.Graph
+	off []int
+	ids []int32
+	wts []float64
+	ws  *simplex.Workspace
+	S   []int
 }
 
 // An interrupted build leaves later Dx entries at zero; the descend loop polls
 // the same State first and unwinds before reading them.
 func newCDState(g *graph.Graph, ws *simplex.Workspace, S []int, rs *runstate.State) cdState {
-	st := cdState{g: g, ws: ws, S: S}
+	off, ids, wts := g.CSR()
+	st := cdState{g: g, off: off, ids: ids, wts: wts, ws: ws, S: S}
 	for _, u := range S {
 		ws.InS[u] = true
 	}
@@ -30,12 +35,20 @@ func newCDState(g *graph.Graph, ws *simplex.Workspace, S []int, rs *runstate.Sta
 			break
 		}
 		var s float64
-		for _, nb := range g.Neighbors(u) {
-			s += nb.W * ws.Get(nb.To)
+		ids, wts := st.row(u)
+		for i, v := range ids {
+			s += wts[i] * ws.Get(int(v))
 		}
 		ws.Dx[u] = s
 	}
 	return st
+}
+
+// row returns u's neighbor ids and weights as slices of equal length.
+func (st *cdState) row(u int) ([]int32, []float64) {
+	lo, hi := st.off[u], st.off[u+1]
+	ids := st.ids[lo:hi]
+	return ids, st.wts[lo:hi][:len(ids)]
 }
 
 // release returns the S marks and (Dx)_u entries of the workspace to zero.
@@ -54,9 +67,10 @@ func (st *cdState) shiftMass(u int, delta float64) {
 	}
 	ws := st.ws
 	ws.Set(u, ws.Get(u)+delta)
-	for _, nb := range st.g.Neighbors(u) {
-		if ws.InS[nb.To] {
-			ws.Dx[nb.To] += nb.W * delta
+	ids, wts := st.row(u)
+	for i, v := range ids {
+		if ws.InS[v] {
+			ws.Dx[v] += wts[i] * delta
 		}
 	}
 }
@@ -161,8 +175,7 @@ func (st *cdState) descend(eps float64, maxIter int, rs *runstate.State) int {
 // used. S must not alias the workspace's Support slice (WorkingSet is the
 // safe source) and must not change during the call.
 //
-// The cdState inner loops range over Neighbors directly — zero-copy on a
-// plain CSR graph but an allocation per call on a masked view — so a view
+// The cdState inner loops range over g's CSR rows directly, so a view
 // argument is flattened up front (Compact is a no-op for plain graphs; every
 // hot caller already passes one).
 func coordinateDescent(g *graph.Graph, ws *simplex.Workspace, S []int, eps float64, maxIter int, rs *runstate.State) int {

@@ -95,11 +95,11 @@ func bruteCore(g *graph.Graph) []int {
 		core[best] = k
 		alive[best] = false
 		removed++
-		for _, nb := range g.Neighbors(best) {
-			if alive[nb.To] {
-				deg[nb.To]--
+		g.VisitNeighbors(best, func(v int, _ float64) {
+			if alive[v] {
+				deg[v]--
 			}
-		}
+		})
 	}
 	return core
 }

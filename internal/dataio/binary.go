@@ -45,10 +45,11 @@ const BinaryExt = ".dcsg"
 const (
 	binaryMagic   = "DCSB"
 	binaryVersion = 1
-	// binaryMaxN caps the vertex count accepted from a binary header so a
-	// corrupt or hostile size field cannot demand an absurd allocation
-	// before the checksum is ever verified.
-	binaryMaxN = 1 << 31
+	// binaryMaxN caps the vertex count accepted from a binary header at the
+	// graph's int32-id limit, so a corrupt or hostile size field fails at the
+	// header instead of demanding an absurd allocation before the checksum
+	// is ever verified.
+	binaryMaxN = graph.MaxN
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -70,13 +71,13 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 func WriteBinary(w io.Writer, g *graph.Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	cw := &crcWriter{w: bw}
-	off, nbr := g.CSR()
+	off, ids, ws := g.CSR()
 
 	var hdr [24]byte
 	copy(hdr[0:4], binaryMagic)
 	binary.LittleEndian.PutUint16(hdr[4:6], binaryVersion)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(g.N()))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(nbr)))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(ids)))
 	if _, err := cw.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -103,14 +104,15 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 	if err := flush(); err != nil {
 		return err
 	}
-	for _, nb := range nbr {
+	ws = ws[:len(ids)]
+	for i, id := range ids {
 		if fill+12 > len(buf) {
 			if err := flush(); err != nil {
 				return err
 			}
 		}
-		binary.LittleEndian.PutUint32(buf[fill:], uint32(nb.To))
-		binary.LittleEndian.PutUint64(buf[fill+4:], math.Float64bits(nb.W))
+		binary.LittleEndian.PutUint32(buf[fill:], uint32(id))
+		binary.LittleEndian.PutUint64(buf[fill+4:], math.Float64bits(ws[i]))
 		fill += 12
 	}
 	if err := flush(); err != nil {
@@ -207,17 +209,18 @@ func readBinaryV1(br *bufio.Reader) (*graph.Graph, error) {
 			off = append(off, int(o))
 		}
 	}
-	nbr := make([]graph.Neighbor, 0, min(e, 1<<22))
-	for len(nbr) < e {
-		want := min((e-len(nbr))*12, len(buf))
+	// An id ≥ 2^31 converts to a negative int32, which FromCSR rejects as
+	// out of range.
+	ids := make([]int32, 0, min(e, 1<<22))
+	ws := make([]float64, 0, min(e, 1<<22))
+	for len(ids) < e {
+		want := min((e-len(ids))*12, len(buf))
 		if err := readFull(buf[:want]); err != nil {
 			return nil, err
 		}
 		for i := 0; i < want; i += 12 {
-			nbr = append(nbr, graph.Neighbor{
-				To: int(binary.LittleEndian.Uint32(buf[i : i+4])),
-				W:  math.Float64frombits(binary.LittleEndian.Uint64(buf[i+4 : i+12])),
-			})
+			ids = append(ids, int32(binary.LittleEndian.Uint32(buf[i:i+4])))
+			ws = append(ws, math.Float64frombits(binary.LittleEndian.Uint64(buf[i+4:i+12])))
 		}
 	}
 
@@ -228,7 +231,7 @@ func readBinaryV1(br *bufio.Reader) (*graph.Graph, error) {
 	if got := binary.LittleEndian.Uint32(sum[:]); got != crc {
 		return nil, fmt.Errorf("dataio: binary graph checksum mismatch: file says %#x, content hashes to %#x", got, crc)
 	}
-	g, err := graph.FromCSR(n, off, nbr)
+	g, err := graph.FromCSR(n, off, ids, ws)
 	if err != nil {
 		return nil, fmt.Errorf("dataio: corrupt binary graph: %w", err)
 	}

@@ -2,6 +2,8 @@ package dataio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -212,13 +214,55 @@ func TestBinaryFileAndAutoDispatch(t *testing.T) {
 	}
 }
 
-func TestFromCSRRejectsAsymmetry(t *testing.T) {
-	// Hand-built CSR with a one-directional entry: structurally sorted, but
-	// the mirror check must reject it even under a valid checksum.
-	off := []int{0, 1, 1}
-	nbr := []graph.Neighbor{{To: 1, W: 2}}
-	if _, err := graph.FromCSR(2, off, nbr); err == nil {
-		t.Fatal("asymmetric CSR accepted")
+// v1Stream assembles a version-1 binary graph from raw header counts,
+// offsets and entries, with a valid trailing checksum — the harness for
+// hostile inputs the writer never emits.
+func v1Stream(n, e uint64, off []uint64, ids []uint32, ws []float64) []byte {
+	var b []byte
+	b = append(b, binaryMagic...)
+	b = binary.LittleEndian.AppendUint16(b, binaryVersion)
+	b = binary.LittleEndian.AppendUint16(b, 0)
+	b = binary.LittleEndian.AppendUint64(b, n)
+	b = binary.LittleEndian.AppendUint64(b, e)
+	for _, o := range off {
+		b = binary.LittleEndian.AppendUint64(b, o)
+	}
+	for i, id := range ids {
+		b = binary.LittleEndian.AppendUint32(b, id)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ws[i]))
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+}
+
+// TestBinaryV1RejectsWideNeighborID feeds a checksummed v1 stream whose
+// neighbor id does not fit the graph's int32 ids: ReadBinary must return an
+// error, not panic.
+func TestBinaryV1RejectsWideNeighborID(t *testing.T) {
+	// The honest shape is the single edge (0,1); only row 0's id is widened.
+	ok := v1Stream(2, 2, []uint64{0, 1, 2}, []uint32{1, 0}, []float64{1, 1})
+	if _, err := ReadBinary(bytes.NewReader(ok)); err != nil {
+		t.Fatalf("valid v1 stream rejected: %v", err)
+	}
+	for _, id := range []uint32{1 << 31, 1<<32 - 1} {
+		bad := v1Stream(2, 2, []uint64{0, 1, 2}, []uint32{id, 0}, []float64{1, 1})
+		if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("neighbor id %d accepted", id)
+		}
+	}
+}
+
+// TestBinaryHeaderRejectsVertexCountPastMaxN pins both header caps to the
+// graph's vertex limit: a count of MaxN+1 fails at the header.
+func TestBinaryHeaderRejectsVertexCountPastMaxN(t *testing.T) {
+	v1 := v1Stream(graph.MaxN+1, 0, nil, nil, nil)
+	if _, err := ReadBinary(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "vertex count") {
+		t.Fatalf("v1 header with n = MaxN+1: got %v", err)
+	}
+	v2 := encodeV2(t, graph.NewBuilder(3).Build(), false)
+	binary.LittleEndian.PutUint64(v2[8:16], graph.MaxN+1)
+	rechecksum(v2)
+	if _, err := parseV2Header(v2); err == nil || !strings.Contains(err.Error(), "vertex count") {
+		t.Fatalf("v2 header with n = MaxN+1: got %v", err)
 	}
 }
 

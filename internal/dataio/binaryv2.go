@@ -384,9 +384,9 @@ func parseV2Graph(h *v2Header, sects [3][]byte) (off []int, ids []int32, ws []fl
 
 // readBinaryV2 is the streaming (heap) reader for v2 files, the io.Reader
 // counterpart of OpenMapped: it verifies every CRC, decodes the sections,
-// and returns an ordinary interleaved heap graph, so the extension-dispatch
-// readers handle both format versions transparently. ReadBinary dispatches
-// here on a version-2 header.
+// and returns an ordinary heap graph over the decoded arrays, so the
+// extension-dispatch readers handle both format versions transparently.
+// ReadBinary dispatches here on a version-2 header.
 func readBinaryV2(r io.Reader) (*graph.Graph, error) {
 	h, sects, err := readV2Sections(r)
 	if err != nil {
@@ -396,11 +396,7 @@ func readBinaryV2(r io.Reader) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	nbr := make([]graph.Neighbor, len(ids))
-	for i := range ids {
-		nbr[i] = graph.Neighbor{To: int(ids[i]), W: ws[i]}
-	}
-	g, err := graph.FromCSR(h.n, off, nbr)
+	g, err := graph.FromCSR(h.n, off, ids, ws)
 	if err != nil {
 		return nil, fmt.Errorf("dataio: corrupt binary graph: %w", err)
 	}
@@ -456,10 +452,10 @@ func (cw *countCRCWriter) Write(p []byte) (int, error) {
 // ids are varint-delta encoded and, when the graph has at most 256 distinct
 // weight bit patterns, weights are palette encoded; without it the file's
 // ids and weights sections can be used as CSR arrays in place by OpenMapped.
-// Views and backed graphs are materialized first. When w is an
-// io.WriteSeeker (an *os.File is) the encoder streams row by row with a
-// bounded scratch buffer and seeks back once to write the header; otherwise
-// it assembles the file in memory first.
+// Views are compacted first. When w is an io.WriteSeeker (an *os.File is)
+// the encoder streams row by row with a bounded scratch buffer and seeks
+// back once to write the header; otherwise it assembles the file in memory
+// first.
 func WriteBinaryV2(w io.Writer, g *graph.Graph, compress bool) error {
 	if ws, ok := w.(io.WriteSeeker); ok {
 		return writeBinaryV2(ws, g, compress)
@@ -486,15 +482,15 @@ func WriteBinaryV2File(path string, g *graph.Graph, compress bool) error {
 }
 
 func writeBinaryV2(w io.WriteSeeker, g *graph.Graph, compress bool) error {
-	off, nbr := g.CSR()
-	n, e := g.N(), len(nbr)
+	off, ids, ws := g.CSR()
+	n, e := g.N(), len(ids)
 
 	flags := uint16(0)
 	var palette []uint64        // sorted distinct weight bit patterns
 	var palIdx map[uint64]uint8 // bits → palette index
 	if compress {
 		flags |= v2FlagDeltaIDs
-		if pal, ok := weightPalette(nbr); ok {
+		if pal, ok := weightPalette(ws); ok {
 			flags |= v2FlagPalette
 			palette = pal
 			palIdx = make(map[uint64]uint8, len(pal))
@@ -570,22 +566,22 @@ func writeBinaryV2(w io.WriteSeeker, g *graph.Graph, compress bool) error {
 			return nil
 		}
 		if flags&v2FlagDeltaIDs == 0 {
-			for i := range nbr {
+			for _, id := range ids {
 				if err := flushIfPast(4); err != nil {
 					return err
 				}
-				binary.LittleEndian.PutUint32(buf[fill:], uint32(nbr[i].To))
+				binary.LittleEndian.PutUint32(buf[fill:], uint32(id))
 				fill += 4
 			}
 		} else {
 			for u := 0; u < n; u++ {
 				prev := 0
-				for i := off[u]; i < off[u+1]; i++ {
+				for i, id := range ids[off[u]:off[u+1]] {
 					if err := flushIfPast(binary.MaxVarintLen32); err != nil {
 						return err
 					}
-					v := nbr[i].To
-					if i == off[u] {
+					v := int(id)
+					if i == 0 {
 						fill += binary.PutUvarint(buf[fill:], uint64(v))
 					} else {
 						fill += binary.PutUvarint(buf[fill:], uint64(v-prev))
@@ -605,14 +601,14 @@ func writeBinaryV2(w io.WriteSeeker, g *graph.Graph, compress bool) error {
 	err = section(2, func(cw *countCRCWriter, buf []byte) error {
 		fill := 0
 		if flags&v2FlagPalette == 0 {
-			for i := range nbr {
+			for _, w := range ws {
 				if fill+8 > len(buf) {
 					if _, err := cw.Write(buf[:fill]); err != nil {
 						return err
 					}
 					fill = 0
 				}
-				binary.LittleEndian.PutUint64(buf[fill:], math.Float64bits(nbr[i].W))
+				binary.LittleEndian.PutUint64(buf[fill:], math.Float64bits(w))
 				fill += 8
 			}
 			_, err := cw.Write(buf[:fill])
@@ -624,14 +620,14 @@ func writeBinaryV2(w io.WriteSeeker, g *graph.Graph, compress bool) error {
 			binary.LittleEndian.PutUint64(buf[fill:], bits)
 			fill += 8
 		}
-		for i := range nbr {
+		for _, w := range ws {
 			if fill+1 > len(buf) {
 				if _, err := cw.Write(buf[:fill]); err != nil {
 					return err
 				}
 				fill = 0
 			}
-			buf[fill] = palIdx[math.Float64bits(nbr[i].W)]
+			buf[fill] = palIdx[math.Float64bits(w)]
 			fill++
 		}
 		_, err := cw.Write(buf[:fill])
@@ -666,13 +662,13 @@ func writeBinaryV2(w io.WriteSeeker, g *graph.Graph, compress bool) error {
 	return err
 }
 
-// weightPalette collects the distinct weight bit patterns of nbr, sorted
+// weightPalette collects the distinct weight bit patterns of ws, sorted
 // ascending for a deterministic encoding. ok is false when the graph has
 // more than v2MaxPalette distinct weights and must be written raw.
-func weightPalette(nbr []graph.Neighbor) (pal []uint64, ok bool) {
+func weightPalette(ws []float64) (pal []uint64, ok bool) {
 	seen := make(map[uint64]struct{}, v2MaxPalette+1)
-	for i := range nbr {
-		bits := math.Float64bits(nbr[i].W)
+	for _, w := range ws {
+		bits := math.Float64bits(w)
 		if _, dup := seen[bits]; dup {
 			continue
 		}

@@ -152,11 +152,15 @@ func ReadMatrixMarket(r io.Reader) (*graph.Graph, error) {
 		if _, err := fmt.Sscan(text, &n1, &n2, &nnz); err != nil {
 			return nil, fmt.Errorf("dataio: line %d: bad MatrixMarket size line %q", line, text)
 		}
-		// Negative sizes must be rejected here: a negative dimension would
-		// panic NewBuilder, and a negative nnz would silently satisfy every
-		// "read < nnz" check and yield an empty graph with no error.
+		// Out-of-range sizes must be rejected here: a negative dimension or
+		// one past graph.MaxN would panic NewBuilder, and a negative nnz
+		// would silently satisfy every "read < nnz" check and yield an empty
+		// graph with no error.
 		if n1 < 0 || n2 < 0 || nnz < 0 {
 			return nil, fmt.Errorf("dataio: line %d: negative MatrixMarket size %q", line, text)
+		}
+		if n1 > graph.MaxN {
+			return nil, fmt.Errorf("dataio: line %d: MatrixMarket dimension %d exceeds the vertex limit %d", line, n1, graph.MaxN)
 		}
 		sizeSeen = true
 		break

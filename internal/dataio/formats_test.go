@@ -239,6 +239,8 @@ func TestMatrixMarketErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real general\n2 2 -1\n1 2 1\n",  // negative nnz (silent empty graph)
 		"%%MatrixMarket matrix coordinate real general\n",                 // header only, no size line
 		"%%MatrixMarket matrix coordinate real general\n% c\n\n",          // comments only, no size line
+		// A dimension past graph.MaxN would panic NewBuilder.
+		"%%MatrixMarket matrix coordinate real general\n2147483648 2147483648 0\n",
 	}
 	for i, in := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {

@@ -229,9 +229,6 @@ func aliasInt(b []byte, count int) []int {
 	if !canAliasHost() {
 		return nil
 	}
-	if count == 0 {
-		return make([]int, 0)
-	}
 	p := unsafe.SliceData(b)
 	if uintptr(unsafe.Pointer(p))%unsafe.Alignof(int(0)) != 0 {
 		return nil
@@ -241,14 +238,10 @@ func aliasInt(b []byte, count int) []int {
 
 // aliasInt32 reinterprets b as count little-endian int32s in place, or
 // returns nil when aliasing is unavailable (wrong platform, misaligned
-// base) and the caller must decode by copy. count == 0 still returns a
-// non-nil empty slice: a backed graph is recognized by ids != nil.
+// base) and the caller must decode by copy.
 func aliasInt32(b []byte, count int) []int32 {
 	if !canAliasHost() {
 		return nil
-	}
-	if count == 0 {
-		return make([]int32, 0)
 	}
 	p := unsafe.SliceData(b)
 	if uintptr(unsafe.Pointer(p))%unsafe.Alignof(int32(0)) != 0 {
@@ -261,9 +254,6 @@ func aliasInt32(b []byte, count int) []int32 {
 func aliasFloat64(b []byte, count int) []float64 {
 	if !canAliasHost() {
 		return nil
-	}
-	if count == 0 {
-		return make([]float64, 0)
 	}
 	p := unsafe.SliceData(b)
 	if uintptr(unsafe.Pointer(p))%unsafe.Alignof(float64(0)) != 0 {

@@ -82,8 +82,9 @@ func ScanCtx(ctx context.Context, gd *graph.Graph, opt Options) Result {
 // in O(n).
 type workspace struct {
 	gd  *graph.Graph
-	off []int            // gd's CSR offsets
-	nbr []graph.Neighbor // gd's CSR adjacency: row u is nbr[off[u]:off[u+1]]
+	off []int     // gd's CSR offsets: row u is entries off[u]:off[u+1]
+	ids []int32   // gd's CSR neighbor ids
+	wts []float64 // gd's CSR weights
 
 	in      []bool    // v ∈ S
 	gain    []float64 // Σ_{u∈S} w(v,u) for boundary vertices v during a grow round
@@ -93,16 +94,17 @@ type workspace struct {
 }
 
 // newWorkspace sizes a workspace for gd. The scan reads gd's CSR rows
-// directly: zero-copy on a plain graph, while a view or a backed graph is
+// directly: zero-copy on a plain graph (backed or not), while a view is
 // flattened onto the heap once here. Neither list can outgrow n, so no
 // append in the scan ever reallocates.
 func newWorkspace(gd *graph.Graph) *workspace {
 	n := gd.N()
-	off, nbr := gd.CSR()
+	off, ids, wts := gd.CSR()
 	return &workspace{
 		gd:      gd,
 		off:     off,
-		nbr:     nbr,
+		ids:     ids,
+		wts:     wts,
 		in:      make([]bool, n),
 		gain:    make([]float64, n),
 		mark:    make([]bool, n),
@@ -111,8 +113,13 @@ func newWorkspace(gd *graph.Graph) *workspace {
 	}
 }
 
-// row returns u's neighbors in increasing id order.
-func (ws *workspace) row(u int) []graph.Neighbor { return ws.nbr[ws.off[u]:ws.off[u+1]] }
+// row returns u's neighbor ids in increasing order and their weights, as
+// slices of equal length.
+func (ws *workspace) row(u int) ([]int32, []float64) {
+	lo, hi := ws.off[u], ws.off[u+1]
+	ids := ws.ids[lo:hi]
+	return ids, ws.wts[lo:hi][:len(ids)]
+}
 
 // scan tries the seeds in order and keeps the heaviest candidate. It leaves
 // the workspace all-zero.
@@ -129,9 +136,10 @@ func (ws *workspace) scan(opt Options, rs *runstate.State) Result {
 		if rs.Checkpoint() {
 			break // unseen seeds keep degree 0, sort last, and are skipped below
 		}
-		for _, nb := range ws.row(v) {
-			if nb.W > 0 {
-				posDeg[v] += nb.W
+		_, wts := ws.row(v)
+		for _, w := range wts {
+			if w > 0 {
+				posDeg[v] += w
 			}
 		}
 	}
@@ -198,10 +206,11 @@ func (ws *workspace) growPrune(s int, maxRounds int, rs *runstate.State) []int {
 	ws.clear()
 	ws.in[s] = true
 	ws.members = append(ws.members, s)
-	for _, nb := range ws.row(s) {
-		if nb.W > 0 {
-			ws.in[nb.To] = true
-			ws.members = append(ws.members, nb.To)
+	ids, wts := ws.row(s)
+	for i, v := range ids {
+		if wts[i] > 0 {
+			ws.in[v] = true
+			ws.members = append(ws.members, int(v))
 		}
 	}
 	slices.Sort(ws.members)
@@ -215,16 +224,16 @@ func (ws *workspace) growPrune(s int, maxRounds int, rs *runstate.State) []int {
 				ws.dropGains()
 				return ws.members
 			}
-			for _, nb := range ws.row(u) {
-				v := nb.To
+			ids, wts := ws.row(u)
+			for i, v := range ids {
 				if ws.in[v] {
 					continue
 				}
 				if !ws.mark[v] {
 					ws.mark[v] = true
-					ws.touched = append(ws.touched, v)
+					ws.touched = append(ws.touched, int(v))
 				}
-				ws.gain[v] += nb.W
+				ws.gain[v] += wts[i]
 			}
 		}
 		changed := ws.addPositiveGains()
@@ -236,9 +245,10 @@ func (ws *workspace) growPrune(s int, maxRounds int, rs *runstate.State) []int {
 				return ws.members
 			}
 			var d float64
-			for _, nb := range ws.row(v) {
-				if ws.in[nb.To] {
-					d += nb.W
+			ids, wts := ws.row(v)
+			for i, to := range ids {
+				if ws.in[to] {
+					d += wts[i]
 				}
 			}
 			if d < 0 {
@@ -307,9 +317,10 @@ func (ws *workspace) weight() float64 {
 	var w float64
 	//lint:allow loopcheck -- one O(vol(S)) walk of the candidate growPrune just built under per-member checkpoints
 	for _, u := range ws.members {
-		for _, nb := range ws.row(u) {
-			if ws.in[nb.To] {
-				w += nb.W
+		ids, wts := ws.row(u)
+		for i, v := range ids {
+			if ws.in[v] {
+				w += wts[i]
 			}
 		}
 	}

@@ -140,11 +140,11 @@ func TestGrowPruneMonotone(t *testing.T) {
 			// The grown set's weight must at least match the seed ego-net start.
 			var ego []int
 			ego = append(ego, seed2)
-			for _, nb := range gd.Neighbors(seed2) {
-				if nb.W > 0 {
-					ego = append(ego, nb.To)
+			gd.VisitNeighbors(seed2, func(v int, w float64) {
+				if w > 0 {
+					ego = append(ego, v)
 				}
-			}
+			})
 			if gd.TotalDegreeOf(S) < gd.TotalDegreeOf(ego)-1e-9 {
 				return false
 			}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,16 +68,11 @@ func goldenCases() []goldenCase {
 	return cs
 }
 
-// backedCopy rebuilds g over parallel-array storage, the layout of a
-// memory-mapped snapshot.
+// backedCopy rebuilds g over caller-owned copies of its CSR arrays, as a
+// memory-mapped snapshot is.
 func backedCopy(g *graph.Graph) *graph.Graph {
-	off, nbr := g.CSR()
-	ids := make([]int32, len(nbr))
-	ws := make([]float64, len(nbr))
-	for i, nb := range nbr {
-		ids[i], ws[i] = int32(nb.To), nb.W
-	}
-	b, err := graph.FromCSRBacked(g.N(), off, ids, ws, nil)
+	off, ids, ws := g.CSR()
+	b, err := graph.FromCSRBacked(g.N(), slices.Clone(off), slices.Clone(ids), slices.Clone(ws), nil)
 	if err != nil {
 		panic(err)
 	}

@@ -1,151 +1,35 @@
 package graph
 
-import (
-	"fmt"
-)
-
-// This file implements backed CSR storage: a Graph whose adjacency lives in
-// externally owned parallel arrays — neighbor ids ([]int32) and weights
-// ([]float64) — instead of the interleaved []Neighbor array heap graphs use.
-// The arrays are typically aliases of a read-only memory-mapped .dcsg v2 file
+// This file implements backed CSR storage: a Graph whose adjacency arrays —
+// offsets, neighbor ids ([]int32) and weights ([]float64), the same layout
+// every Graph uses — are owned by the caller instead of the heap. The arrays
+// are typically aliases of a read-only memory-mapped .dcsg v2 file
 // (internal/dataio.OpenMapped), which is how dcsd serves snapshot sets larger
-// than RAM: the kernel pages adjacency in and out on demand and the process
-// heap holds only the O(n) offsets view.
+// than RAM: the kernel pages adjacency in and out on demand.
 //
-// Backed graphs satisfy every Graph contract. The iteration primitives
-// (VisitNeighbors, VisitEdges, Weight, the degree accessors) read the
-// parallel arrays directly; masked views (PositivePart, WithoutVertices)
-// share the backed arrays exactly as they share nbr; Compact and the
-// tandem-merge machinery (Difference, Blend, ApplyDelta) materialize or
-// stream rows as needed. The one representational difference is that
-// Neighbors and CSR must copy, since no interleaved array exists to alias.
+// A backed graph differs from a heap graph only in ownership: it carries a
+// Release hook and reports Backed. Every accessor, view and merge reads it
+// exactly as it reads a heap graph, and CSR on a plain backed graph returns
+// the mapped arrays themselves.
 
-// maxBackedID is the largest vertex id representable in backed storage's
-// int32 neighbor ids; it matches the binary codec's vertex-count cap.
-const maxBackedID = 1<<31 - 1
-
-// FromCSRBacked builds a Graph over externally owned CSR arrays in
-// parallel-array form: off (len n+1) indexes the directed entry arrays ids
-// and ws, which the caller — not the graph — owns. None of the slices are
-// copied; they may alias a read-only memory mapping. release, if non-nil, is
-// invoked by Release when the storage should be torn down (e.g. munmap);
-// after Release the graph and every view derived from it must not be used.
-//
-// The same structural invariants FromCSR enforces are verified here: offsets
-// form a monotone cover, rows are strictly increasing, entries are
-// self-loop-free with finite non-zero weights, and every directed entry has
-// a bitwise-equal mirror. The edge count and total weight are recomputed in
-// the same pass, so corrupt or hostile mapped bytes produce an error, never
-// a Graph violating the package contracts.
+// FromCSRBacked is FromCSR over externally owned arrays: off, ids and ws are
+// neither copied nor owned by the graph, and may alias a read-only memory
+// mapping. They are verified exactly as FromCSR verifies them. release, if
+// non-nil, is invoked by Release when the storage should be torn down (e.g.
+// munmap); after Release the graph and every view derived from it must not
+// be used.
 func FromCSRBacked(n int, off []int, ids []int32, ws []float64, release func()) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	g, err := FromCSR(n, off, ids, ws)
+	if err != nil {
+		return nil, err
 	}
-	if n > maxBackedID {
-		return nil, fmt.Errorf("graph: vertex count %d exceeds backed-storage limit %d", n, maxBackedID)
-	}
-	if len(off) != n+1 {
-		return nil, fmt.Errorf("graph: offsets length %d, want n+1 = %d", len(off), n+1)
-	}
-	if len(ids) != len(ws) {
-		return nil, fmt.Errorf("graph: %d neighbor ids but %d weights", len(ids), len(ws))
-	}
-	if n > 0 && off[0] != 0 {
-		return nil, fmt.Errorf("graph: offsets must start at 0, got %d", off[0])
-	}
-	if len(off) > 0 && off[n] != len(ids) {
-		return nil, fmt.Errorf("graph: offsets end at %d, want len(entries) = %d", off[n], len(ids))
-	}
-	m := 0
-	var tw float64
-	// Mirror verification runs as one O(n+m) merge instead of a binary
-	// search per edge: cur[v].next walks row v's lower-partner entries
-	// (ids < v, sorted ascending), which must be consumed in order by the
-	// upper edges (u, v) as u ascends — both sequences are strictly
-	// increasing, so the greedy match is exact. An unconsumed lower entry
-	// (a mirror with no counterpart) either mismatches a later consumption
-	// or survives to the final 2m == len(ids) count, which then fails.
-	// This pass dominates the mmap cold-open cost, so it stays sequential
-	// and branch-light, with the cursor and row end packed into one cache
-	// line per probed vertex.
-	// The monotone check runs in the cursor-init scan, before any off[u] is
-	// used as a slice index: with off[0] == 0 and off[n] == len(ids) already
-	// verified, monotonicity bounds every row inside the entry arrays, so
-	// hostile offsets (which may alias an untrusted mapping verbatim) error
-	// here instead of faulting the loops below.
-	type rowCursor struct{ next, end int }
-	var cur []rowCursor
-	if n > 0 {
-		cur = make([]rowCursor, n)
-		for v := range cur {
-			if off[v+1] < off[v] {
-				return nil, fmt.Errorf("graph: offsets decrease at vertex %d", v)
-			}
-			cur[v] = rowCursor{next: off[v], end: off[v+1]}
-		}
-	}
-	// A sorted row splits into its lower-partner prefix (ids < u) and
-	// upper-partner suffix (ids > u), so each row runs as two tight loops
-	// instead of one with a per-entry to>u branch — that branch is ~50/50
-	// and its mispredictions, not the checks themselves, dominated the
-	// single-loop version.
-	for u := 0; u < n; u++ {
-		i, re := off[u], off[u+1]
-		prev := -1
-		// Lower prefix: -1 < to < u (so the bounds check is implied) and
-		// strictly increasing; the mirror pairing is consumed by the upper
-		// loop of the partner rows via cur.
-		for ; i < re; i++ {
-			to, w := int(ids[i]), ws[i]
-			if to >= u {
-				break
-			}
-			if to <= prev {
-				return nil, fmt.Errorf("graph: row %d not strictly increasing at neighbor %d", u, to)
-			}
-			prev = to
-			// w-w is 0 for every finite non-zero weight and NaN for
-			// NaN/±Inf — one subtraction in place of IsNaN+IsInf calls.
-			if w == 0 || w-w != 0 {
-				return nil, fmt.Errorf("graph: edge (%d,%d) has invalid weight %v", u, to, w)
-			}
-		}
-		if i < re && int(ids[i]) == u {
-			return nil, fmt.Errorf("graph: self-loop on vertex %d", u)
-		}
-		// Upper suffix: every entry counts an undirected edge from its
-		// lower endpoint and must find its bitwise-equal mirror next in
-		// the higher row's consumption order.
-		for ; i < re; i++ {
-			to, w := int(ids[i]), ws[i]
-			if uint(to) >= uint(n) {
-				return nil, fmt.Errorf("graph: vertex %d has neighbor %d out of range [0,%d)", u, to, n)
-			}
-			if to <= prev {
-				return nil, fmt.Errorf("graph: row %d not strictly increasing at neighbor %d", u, to)
-			}
-			prev = to
-			if w == 0 || w-w != 0 {
-				return nil, fmt.Errorf("graph: edge (%d,%d) has invalid weight %v", u, to, w)
-			}
-			c := cur[to]
-			if c.next >= c.end || int(ids[c.next]) != u || ws[c.next] != w {
-				return nil, fmt.Errorf("graph: edge (%d,%d) has no matching mirror entry", u, to)
-			}
-			cur[to].next = c.next + 1
-			m++
-			tw += w
-		}
-	}
-	if 2*m != len(ids) {
-		return nil, fmt.Errorf("graph: %d directed entries for %d undirected edges", len(ids), m)
-	}
-	return &Graph{n: n, m: m, totalW: tw, off: off, ids: ids, ws: ws, release: release}, nil
+	g.backed, g.release = true, release
+	return g, nil
 }
 
-// Backed reports whether g's adjacency lives in externally owned
-// parallel-array storage (FromCSRBacked) rather than the heap.
-func (g *Graph) Backed() bool { return g.backed() }
+// Backed reports whether g's adjacency lives in externally owned storage
+// (FromCSRBacked) rather than the heap.
+func (g *Graph) Backed() bool { return g.backed }
 
 // Release invokes the release hook the backed storage was constructed with
 // (typically an munmap), at most once. After Release neither g nor any view
@@ -159,37 +43,13 @@ func (g *Graph) Release() {
 	}
 }
 
-// Materialize returns g as a plain heap graph with interleaved storage:
-// g itself when it already is one, otherwise a compacted copy that no longer
-// references any backed (mapped) memory — safe to retain past Release.
-func (g *Graph) Materialize() *Graph {
-	if !g.plain() {
-		g = g.Compact()
-	}
-	if !g.backed() {
-		return g
-	}
-	off := make([]int, len(g.off))
-	copy(off, g.off)
-	nbr := make([]Neighbor, len(g.ids))
-	for i := range g.ids {
-		nbr[i] = Neighbor{To: int(g.ids[i]), W: g.ws[i]}
-	}
-	return &Graph{n: g.n, m: g.m, totalW: g.totalW, off: off, nbr: nbr}
-}
-
 // StorageBytes estimates the bytes of CSR storage reachable from g: offsets
-// plus adjacency (interleaved or parallel-array), plus the memoized positive
-// part when one has been computed. Views report their base storage; the
-// figure is the byte-accounting input of the dcsd memory budget, not an
-// exact heap measurement.
+// plus the id and weight arrays, plus the memoized positive part when one
+// has been computed. Views report their base storage; the figure is the
+// byte-accounting input of the dcsd memory budget, not an exact heap
+// measurement.
 func (g *Graph) StorageBytes() int64 {
-	b := int64(len(g.off)) * 8
-	if g.backed() {
-		b += int64(len(g.ids))*4 + int64(len(g.ws))*8
-	} else {
-		b += int64(len(g.nbr)) * 16
-	}
+	b := int64(len(g.off))*8 + int64(len(g.ids))*4 + int64(len(g.ws))*8
 	if g.drop != nil {
 		b += int64(len(g.drop))
 	}
@@ -197,51 +57,4 @@ func (g *Graph) StorageBytes() int64 {
 		b += p.StorageBytes()
 	}
 	return b
-}
-
-// entries returns the directed entry count of the base storage.
-func (g *Graph) entries() int {
-	if g.backed() {
-		return len(g.ids)
-	}
-	return len(g.nbr)
-}
-
-// rowFn returns a row accessor for the tandem-merge machinery (mergeRows):
-// the zero-copy CSR subslice on interleaved storage; on backed storage each
-// call decodes the row into one reused scratch buffer, so backed graphs
-// merge without materializing a full interleaved copy. The returned slice is
-// only valid until the accessor's next call.
-func (g *Graph) rowFn() func(u int) []Neighbor {
-	if !g.backed() {
-		return g.row
-	}
-	var buf []Neighbor
-	return func(u int) []Neighbor {
-		lo, hi := g.off[u], g.off[u+1]
-		if cap(buf) < hi-lo {
-			buf = make([]Neighbor, 0, max(hi-lo, 64))
-		}
-		buf = buf[:0]
-		for i := lo; i < hi; i++ {
-			buf = append(buf, Neighbor{To: int(g.ids[i]), W: g.ws[i]})
-		}
-		return buf
-	}
-}
-
-// visitRow calls fn for every base entry of u's row, masks not applied.
-// It is the storage-neutral primitive behind the one-pass materializers
-// (Compact, mapWeights, WithoutVertices' recount).
-func (g *Graph) visitRow(u int, fn func(to int, w float64)) {
-	lo, hi := g.off[u], g.off[u+1]
-	if g.backed() {
-		for i := lo; i < hi; i++ {
-			fn(int(g.ids[i]), g.ws[i])
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		fn(g.nbr[i].To, g.nbr[i].W)
-	}
 }

@@ -1,22 +1,18 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// toBacked converts a plain heap graph to parallel-array backed form through
-// FromCSRBacked, as dataio's mmap open path does.
+// toBacked rebuilds a plain heap graph over caller-owned copies of its CSR
+// arrays through FromCSRBacked, as dataio's mmap open path does.
 func toBacked(t *testing.T, g *Graph, release func()) *Graph {
 	t.Helper()
-	off, nbr := g.CSR()
-	ids := make([]int32, len(nbr))
-	ws := make([]float64, len(nbr))
-	for i, nb := range nbr {
-		ids[i] = int32(nb.To)
-		ws[i] = nb.W
-	}
-	b, err := FromCSRBacked(g.N(), off, ids, ws, release)
+	off, ids, ws := g.CSR()
+	b, err := FromCSRBacked(g.N(), slices.Clone(off), slices.Clone(ids), slices.Clone(ws), release)
 	if err != nil {
 		t.Fatalf("FromCSRBacked: %v", err)
 	}
@@ -47,13 +43,13 @@ func sameAsHeap(t *testing.T, label string, got, want *Graph) {
 		if got.WeightedDegree(u) != want.WeightedDegree(u) {
 			t.Fatalf("%s: WeightedDegree(%d) = %v, want %v", label, u, got.WeightedDegree(u), want.WeightedDegree(u))
 		}
-		gn, wn := got.Neighbors(u), want.Neighbors(u)
+		gn, wn := neighbors(got, u), neighbors(want, u)
 		if len(gn) != len(wn) {
-			t.Fatalf("%s: len(Neighbors(%d)) = %d, want %d", label, u, len(gn), len(wn))
+			t.Fatalf("%s: vertex %d visits %d neighbors, want %d", label, u, len(gn), len(wn))
 		}
 		for i := range gn {
 			if gn[i] != wn[i] {
-				t.Fatalf("%s: Neighbors(%d)[%d] = %+v, want %+v", label, u, i, gn[i], wn[i])
+				t.Fatalf("%s: neighbor %d of %d = %+v, want %+v", label, i, u, gn[i], wn[i])
 			}
 			if w := got.Weight(u, wn[i].To); w != wn[i].W {
 				t.Fatalf("%s: Weight(%d,%d) = %v, want %v", label, u, wn[i].To, w, wn[i].W)
@@ -85,31 +81,33 @@ func TestBackedEquivalence(t *testing.T) {
 			sameAsHeap(t, "without compact", b.WithoutVertices(S).Compact(), h.WithoutVertices(S).Compact())
 		}
 
-		// Compact on a plain backed graph is the identity; Materialize and
-		// CSR yield heap storage equal to the original.
+		// Compact on a plain backed graph is the identity; CSR yields arrays
+		// equal to the original's, and a heap graph over copies of them no
+		// longer references the backed storage.
 		if b.Compact() != b {
 			t.Fatal("Compact() on a plain backed graph must return the graph itself")
 		}
-		mat := b.Materialize()
-		if mat.Backed() {
-			t.Fatal("Materialize() must return heap storage")
+		boff, bids, bws := b.CSR()
+		hoff, hids, hws := h.CSR()
+		if !slices.Equal(boff, hoff) {
+			t.Fatalf("CSR off mismatch: %v vs %v", boff, hoff)
 		}
-		sameAsHeap(t, "materialize", mat, h)
-		boff, bnbr := b.CSR()
-		hoff, hnbr := h.CSR()
-		if len(boff) != len(hoff) || len(bnbr) != len(hnbr) {
-			t.Fatalf("CSR length mismatch: %d/%d vs %d/%d", len(boff), len(bnbr), len(hoff), len(hnbr))
+		if !slices.Equal(bids, hids) {
+			t.Fatalf("CSR ids mismatch: %v vs %v", bids, hids)
 		}
-		for i := range boff {
-			if boff[i] != hoff[i] {
-				t.Fatalf("CSR off[%d]: %d vs %d", i, boff[i], hoff[i])
+		for i := range bws {
+			if math.Float64bits(bws[i]) != math.Float64bits(hws[i]) {
+				t.Fatalf("CSR ws[%d]: %v vs %v", i, bws[i], hws[i])
 			}
 		}
-		for i := range bnbr {
-			if bnbr[i] != hnbr[i] {
-				t.Fatalf("CSR nbr[%d]: %+v vs %+v", i, bnbr[i], hnbr[i])
-			}
+		heap, err := FromCSR(b.N(), slices.Clone(boff), slices.Clone(bids), slices.Clone(bws))
+		if err != nil {
+			t.Fatalf("FromCSR over a backed graph's arrays: %v", err)
 		}
+		if heap.Backed() {
+			t.Fatal("FromCSR must return heap storage")
+		}
+		sameAsHeap(t, "heap copy", heap, h)
 
 		// Merge machinery: difference, blend, delta, maintainer seeding.
 		h2 := randomTestGraph(rng, n, 0.15)
@@ -150,6 +148,8 @@ func TestBackedRelease(t *testing.T) {
 	}
 }
 
+// TestFromCSRBackedRejectsCorruptInput runs every corrupt input through both
+// constructors, which share one validator: each must reject it.
 func TestFromCSRBackedRejectsCorruptInput(t *testing.T) {
 	// A valid 3-vertex path to perturb: edges (0,1,w=2), (1,2,w=-3).
 	base := func() (off []int, ids []int32, ws []float64) {
@@ -182,6 +182,10 @@ func TestFromCSRBackedRejectsCorruptInput(t *testing.T) {
 			ids[2] = 9
 			return 3, off, ids, ws
 		}},
+		{"negative neighbor", func(off []int, ids []int32, ws []float64) (int, []int, []int32, []float64) {
+			ids[1] = -1
+			return 3, off, ids, ws
+		}},
 		{"self-loop", func(off []int, ids []int32, ws []float64) (int, []int, []int32, []float64) {
 			ids[0] = 0
 			return 3, off, ids, ws
@@ -194,14 +198,34 @@ func TestFromCSRBackedRejectsCorruptInput(t *testing.T) {
 			ws[0], ws[1] = 0, 0
 			return 3, off, ids, ws
 		}},
+		{"NaN weight", func(off []int, ids []int32, ws []float64) (int, []int, []int32, []float64) {
+			ws[0], ws[1] = math.NaN(), math.NaN()
+			return 3, off, ids, ws
+		}},
+		{"+Inf weight", func(off []int, ids []int32, ws []float64) (int, []int, []int32, []float64) {
+			ws[0], ws[1] = math.Inf(1), math.Inf(1)
+			return 3, off, ids, ws
+		}},
+		{"-Inf weight", func(off []int, ids []int32, ws []float64) (int, []int, []int32, []float64) {
+			ws[2], ws[3] = math.Inf(-1), math.Inf(-1)
+			return 3, off, ids, ws
+		}},
 		{"mirror weight mismatch", func(off []int, ids []int32, ws []float64) (int, []int, []int32, []float64) {
 			ws[1] = 2.0000001
 			return 3, off, ids, ws
+		}},
+		{"asymmetric entry", func([]int, []int32, []float64) (int, []int, []int32, []float64) {
+			// Structurally sorted, but the entry (0,1) has no mirror in row 1.
+			return 2, []int{0, 1, 1}, []int32{1}, []float64{2}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n, off, ids, ws := tc.mut(base())
+			if _, err := FromCSR(n, off, ids, ws); err == nil {
+				t.Fatalf("FromCSR accepted corrupt input (%s)", tc.name)
+			}
+			n, off, ids, ws = tc.mut(base())
 			if _, err := FromCSRBacked(n, off, ids, ws, nil); err == nil {
 				t.Fatalf("FromCSRBacked accepted corrupt input (%s)", tc.name)
 			}
@@ -209,9 +233,46 @@ func TestFromCSRBackedRejectsCorruptInput(t *testing.T) {
 	}
 	// The unperturbed base must be accepted, or the cases above prove nothing.
 	off, ids, ws := base()
+	if _, err := FromCSR(3, off, ids, ws); err != nil {
+		t.Fatalf("FromCSR rejected valid input: %v", err)
+	}
+	off, ids, ws = base()
 	if _, err := FromCSRBacked(3, off, ids, ws, nil); err != nil {
 		t.Fatalf("FromCSRBacked rejected valid input: %v", err)
 	}
+}
+
+// TestCSRAliasesStorage pins CSR's aliasing contract: a plain graph, heap or
+// backed, hands out its own arrays; a view hands out fresh ones.
+func TestCSRAliasesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	h := randomTestGraph(rng, 30, 0.3)
+	b := toBacked(t, h, nil)
+	for _, g := range []*Graph{h, b} {
+		off, ids, ws := g.CSR()
+		if len(ids) == 0 {
+			t.Fatal("test graph has no edges")
+		}
+		if &off[0] != &g.off[0] || &ids[0] != &g.ids[0] || &ws[0] != &g.ws[0] {
+			t.Fatalf("CSR on a plain graph (backed=%v) copied its arrays", g.Backed())
+		}
+		v := g.WithoutVertices([]int{0})
+		voff, vids, vws := v.CSR()
+		if &voff[0] == &g.off[0] || &vids[0] == &g.ids[0] || &vws[0] == &g.ws[0] {
+			t.Fatalf("CSR on a view (backed=%v) aliased the base arrays", g.Backed())
+		}
+	}
+}
+
+// TestNewBuilderRejectsIDOverflow pins the int32-id cap: a vertex count past
+// MaxN panics before anything is allocated.
+func TestNewBuilderRejectsIDOverflow(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewBuilder(1<<31) did not panic")
+		}
+	}()
+	NewBuilder(1 << 31)
 }
 
 // TestPositivePartCompactMemoized asserts the plain-graph memoization: two

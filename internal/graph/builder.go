@@ -14,10 +14,14 @@ type Builder struct {
 	edges []Edge
 }
 
-// NewBuilder returns a Builder for a graph with n vertices.
+// NewBuilder returns a Builder for a graph with n vertices. It panics if n
+// is negative or exceeds MaxN.
 func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative vertex count")
+	}
+	if n > MaxN {
+		panic(fmt.Sprintf("graph: vertex count %d exceeds the limit %d", n, MaxN))
 	}
 	return &Builder{n: n}
 }
@@ -79,7 +83,8 @@ func (b *Builder) Build() *Graph {
 	for u := 0; u < b.n; u++ {
 		off[u+1] = off[u] + deg[u]
 	}
-	nbr := make([]Neighbor, off[b.n])
+	ids := make([]int32, off[b.n])
+	ws := make([]float64, off[b.n])
 	cur := make([]int, b.n)
 	copy(cur, off[:b.n])
 	// One pass over the (U,V)-sorted canonical edges fills every row already
@@ -91,12 +96,12 @@ func (b *Builder) Build() *Graph {
 		if e.W == 0 {
 			continue
 		}
-		nbr[cur[e.U]] = Neighbor{To: e.V, W: e.W}
+		ids[cur[e.U]], ws[cur[e.U]] = int32(e.V), e.W
 		cur[e.U]++
-		nbr[cur[e.V]] = Neighbor{To: e.U, W: e.W}
+		ids[cur[e.V]], ws[cur[e.V]] = int32(e.U), e.W
 		cur[e.V]++
 	}
-	return &Graph{n: b.n, m: m, totalW: tw, off: off, nbr: nbr}
+	return &Graph{n: b.n, m: m, totalW: tw, off: off, ids: ids, ws: ws}
 }
 
 // FromEdges builds a graph with n vertices from an edge list.

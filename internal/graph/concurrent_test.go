@@ -48,7 +48,7 @@ func TestCompactConcurrentReaders(t *testing.T) {
 				}
 				// Row-level equality against the reference compaction.
 				for u := 0; u < c.N(); u++ {
-					if !reflect.DeepEqual(c.Neighbors(u), want.Neighbors(u)) {
+					if !reflect.DeepEqual(neighbors(c, u), neighbors(want, u)) {
 						errs <- "Compact produced a different adjacency row concurrently"
 						return
 					}

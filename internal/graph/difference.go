@@ -38,56 +38,40 @@ func merge2(g1, g2 *Graph, f func(w1, w2 float64) float64) *Graph {
 	if g1.N() != g2.N() {
 		panic(fmt.Sprintf("graph: combining graphs with different vertex counts %d vs %d", g1.N(), g2.N()))
 	}
-	g1, g2 = g1.Compact(), g2.Compact()
-	return mergeRows(g1.n, g1.entries()+g2.entries(), g1.rowFn(), g2.rowFn(),
-		func(w1, w2 float64, _, _ bool) float64 { return f(w1, w2) })
+	return mergeRows(g1.Compact(), g2.Compact(), func(w1, w2 float64, _, _ bool) float64 { return f(w1, w2) })
 }
 
 // mergeRows is the linear-merge machinery behind Difference, Blend and
-// ApplyDelta: it walks two aligned sets of sorted adjacency rows in tandem and
-// builds the plain CSR graph whose edge weights are f(w1, w2, in1, in2) over
-// the union of the two edge sets. Absent entries contribute weight 0 with
-// their presence flag false — the flags let combiners like ApplyDelta treat
-// "present with weight 0" (remove the edge) differently from "absent" (keep
-// the other side's weight). Zero results are dropped. Rows must be sorted by
-// neighbor id with each undirected edge appearing in both endpoint rows;
-// sizeHint bounds the flat output allocation.
-func mergeRows(n, sizeHint int, row1, row2 func(u int) []Neighbor, f func(w1, w2 float64, in1, in2 bool) float64) *Graph {
-	off := make([]int, n+1)
-	nbr := make([]Neighbor, 0, sizeHint)
-	m := 0
-	var tw float64
-	emit := func(u, to int, w float64) {
-		if w == 0 {
-			return
-		}
-		nbr = append(nbr, Neighbor{To: to, W: w})
-		if to > u {
-			m++
-			tw += w
-		}
-	}
-	for u := 0; u < n; u++ {
-		off[u] = len(nbr)
-		a1, a2 := row1(u), row2(u)
+// ApplyDelta: it walks the sorted adjacency rows of two plain graphs over the
+// same vertex set in tandem and builds the plain CSR graph whose edge weights
+// are f(w1, w2, in1, in2) over the union of the two edge sets. Absent entries
+// contribute weight 0 with their presence flag false — the flags let
+// combiners like ApplyDelta treat "present with weight 0" (remove the edge)
+// differently from "absent" (keep the other side's weight). Zero results are
+// dropped.
+func mergeRows(g1, g2 *Graph, f func(w1, w2 float64, in1, in2 bool) float64) *Graph {
+	a := newRowAppender(g1.n, len(g1.ids)+len(g2.ids))
+	for u := 0; u < g1.n; u++ {
+		a.startRow(u)
+		ids1, ws1 := g1.row(u)
+		ids2, ws2 := g2.row(u)
 		i, j := 0, 0
-		for i < len(a1) || j < len(a2) {
+		for i < len(ids1) || j < len(ids2) {
 			switch {
-			case j >= len(a2) || (i < len(a1) && a1[i].To < a2[j].To):
-				emit(u, a1[i].To, f(a1[i].W, 0, true, false))
+			case j >= len(ids2) || (i < len(ids1) && ids1[i] < ids2[j]):
+				a.add(u, int(ids1[i]), f(ws1[i], 0, true, false))
 				i++
-			case i >= len(a1) || a2[j].To < a1[i].To:
-				emit(u, a2[j].To, f(0, a2[j].W, false, true))
+			case i >= len(ids1) || ids2[j] < ids1[i]:
+				a.add(u, int(ids2[j]), f(0, ws2[j], false, true))
 				j++
 			default: // same neighbor in both row sets
-				emit(u, a1[i].To, f(a1[i].W, a2[j].W, true, true))
+				a.add(u, int(ids1[i]), f(ws1[i], ws2[j], true, true))
 				i++
 				j++
 			}
 		}
 	}
-	off[n] = len(nbr)
-	return &Graph{n: n, m: m, totalW: tw, off: off, nbr: nbr}
+	return a.graph()
 }
 
 // CapWeights returns a copy of the graph where every edge weight above cap is

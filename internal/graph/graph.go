@@ -8,13 +8,16 @@
 //
 // # Storage: compressed sparse row
 //
-// A Graph stores its adjacency in CSR form: one flat []Neighbor backing array
-// holding every directed edge entry (each undirected edge appears twice) plus
-// an offsets array, so the neighbor list of u is the contiguous subslice
-// nbr[off[u]:off[u+1]], kept sorted by neighbor id. Sortedness lets Difference
-// build GD with a linear merge and lets Weight answer point queries by binary
-// search; the flat layout means a whole-graph edge scan is a single
-// cache-friendly array walk with no per-vertex indirection.
+// A Graph stores its adjacency in CSR form: two parallel flat arrays holding
+// every directed edge entry (each undirected edge appears twice) — neighbor
+// ids as []int32 and weights as []float64 — plus an offsets array, so the
+// neighbor list of u is the contiguous range off[u]:off[u+1] of both, kept
+// sorted by neighbor id. Sortedness lets Difference build GD with a linear
+// merge and lets Weight answer point queries by binary search; the flat
+// layout means a whole-graph edge scan is a single cache-friendly array walk
+// with no per-vertex indirection. Every graph uses this one layout; a backed
+// graph (backed.go) differs from a heap graph only in who owns the arrays.
+// The int32 ids cap the vertex count at MaxN.
 //
 // # Views: masked graphs without rebuilding
 //
@@ -29,25 +32,21 @@
 // Views compose: a PositivePart of a WithoutVertices view masks both.
 //
 // Every method is mask-aware and views satisfy exactly the same contracts as
-// plain graphs, with one performance caveat: Neighbors on a view must
-// materialize the filtered list and therefore allocates. Hot loops use
-// VisitNeighbors, which is allocation-free on plain graphs and views alike;
-// Compact flattens a view into a plain graph when one is needed.
+// plain graphs. VisitNeighbors is the iteration primitive and is
+// allocation-free on plain graphs and views alike; Compact flattens a view
+// into a plain graph when one is needed, and CSR exposes a plain graph's
+// arrays.
 package graph
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
-// Neighbor is one entry of an adjacency list: an incident edge to vertex To
-// with weight W. W is never zero in a built Graph.
-type Neighbor struct {
-	To int
-	W  float64
-}
+// MaxN is the largest vertex count a Graph can hold: neighbor ids are stored
+// as int32.
+const MaxN = 1<<31 - 1
 
 // Edge is an undirected edge (U, V) with weight W. A canonical edge has U < V.
 type Edge struct {
@@ -65,17 +64,16 @@ type Graph struct {
 	totalW float64 // sum of weights over visible undirected edges
 
 	// CSR storage, shared (never mutated) between a graph and its views.
-	// Exactly one of the two adjacency representations is populated:
-	// interleaved nbr for heap graphs, or the parallel arrays ids/ws for
-	// backed graphs (FromCSRBacked), whose storage is externally owned and
-	// may alias a read-only memory mapping. See backed.go.
-	off []int      // len n+1; row u is entries off[u]:off[u+1]
-	nbr []Neighbor // flat directed adjacency, each undirected edge twice
-	ids []int32    // backed form: neighbor id of entry i
-	ws  []float64  // backed form: weight of entry i
+	// Each undirected edge appears twice, once per endpoint row.
+	off []int     // len n+1; row u is entries off[u]:off[u+1]
+	ids []int32   // neighbor id of entry i
+	ws  []float64 // weight of entry i, never zero
 
-	// release tears down externally owned backed storage (e.g. munmap);
-	// nil on heap graphs and on views. See Release.
+	// backed marks externally owned storage (FromCSRBacked), which may alias
+	// a read-only memory mapping; views inherit it. release tears that
+	// storage down (e.g. munmap) and is nil on heap graphs and on views.
+	// See backed.go.
+	backed  bool
 	release func()
 
 	// pos memoizes PositivePartCompact on plain graphs, so the several
@@ -88,13 +86,14 @@ type Graph struct {
 	posOnly bool   // hide edges with W ≤ 0
 }
 
-// backed reports whether adjacency lives in the parallel arrays ids/ws.
-func (g *Graph) backed() bool { return g.ids != nil }
-
-// row returns u's base adjacency row, ignoring any masks. Interleaved
-// (heap) storage only — backed graphs have no []Neighbor array to slice;
-// storage-neutral callers go through rowFn or visitRow instead.
-func (g *Graph) row(u int) []Neighbor { return g.nbr[g.off[u]:g.off[u+1]] }
+// row returns u's base adjacency row as parallel id and weight slices of
+// equal length, ignoring any masks. Loops range over ids and index ws, which
+// lets the compiler drop the bounds checks.
+func (g *Graph) row(u int) (ids []int32, ws []float64) {
+	lo, hi := g.off[u], g.off[u+1]
+	ids = g.ids[lo:hi]
+	return ids, g.ws[lo:hi][:len(ids)]
+}
 
 // plain reports whether g has no masks (storage = visible graph).
 func (g *Graph) plain() bool { return g.drop == nil && !g.posOnly }
@@ -125,90 +124,33 @@ func (g *Graph) IsView() bool { return !g.plain() }
 
 // Compact materializes g into a plain CSR graph with no masks. It returns g
 // itself when g is already plain (including plain backed graphs); otherwise
-// it copies the visible entries into fresh heap arrays (two allocations).
+// it copies the visible entries into fresh heap arrays.
 func (g *Graph) Compact() *Graph {
 	if g.plain() {
 		return g
 	}
-	off := make([]int, g.n+1)
-	nbr := make([]Neighbor, 0, 2*g.m)
-	for u := 0; u < g.n; u++ {
-		off[u] = len(nbr)
-		if g.dropped(u) {
-			continue
-		}
-		g.visitRow(u, func(to int, w float64) {
-			if g.visibleTo(to, w) {
-				nbr = append(nbr, Neighbor{To: to, W: w})
-			}
-		})
-	}
-	off[g.n] = len(nbr)
-	return &Graph{n: g.n, m: g.m, totalW: g.totalW, off: off, nbr: nbr}
-}
-
-// Neighbors returns the adjacency list of u, sorted by neighbor id. On a
-// plain heap graph this is a zero-copy subslice of the CSR array, owned by
-// the graph and not to be modified. On a view or a backed graph it is a
-// freshly allocated copy — hot loops that may receive either should use
-// VisitNeighbors instead.
-func (g *Graph) Neighbors(u int) []Neighbor {
-	if g.plain() && !g.backed() {
-		return g.row(u)
-	}
-	if g.dropped(u) {
-		return nil
-	}
-	out := make([]Neighbor, 0, g.off[u+1]-g.off[u])
-	g.visitRow(u, func(to int, w float64) {
-		if g.visibleTo(to, w) {
-			out = append(out, Neighbor{To: to, W: w})
-		}
-	})
-	return out
+	c := g.mapWeights(func(w float64) float64 { return w })
+	c.totalW = g.totalW // the view's own figure, bit for bit
+	return c
 }
 
 // VisitNeighbors calls fn for every visible neighbor of u in ascending id
 // order. It never allocates, on plain graphs and views alike; it is the
 // iteration primitive the solvers use on derived graphs.
 func (g *Graph) VisitNeighbors(u int, fn func(v int, w float64)) {
-	if g.backed() {
-		g.visitNeighborsBacked(u, fn)
-		return
-	}
+	ids, ws := g.row(u)
 	if g.plain() {
-		for _, nb := range g.row(u) {
-			fn(nb.To, nb.W)
+		for i, to := range ids {
+			fn(int(to), ws[i])
 		}
 		return
 	}
 	if g.dropped(u) {
 		return
 	}
-	for _, nb := range g.row(u) {
-		if g.visibleTo(nb.To, nb.W) {
-			fn(nb.To, nb.W)
-		}
-	}
-}
-
-// visitNeighborsBacked is VisitNeighbors over parallel-array storage, with
-// the same mask semantics and the same allocation-free guarantee.
-func (g *Graph) visitNeighborsBacked(u int, fn func(v int, w float64)) {
-	if g.dropped(u) {
-		return
-	}
-	lo, hi := g.off[u], g.off[u+1]
-	ids, ws := g.ids, g.ws
-	if g.plain() {
-		for i := lo; i < hi; i++ {
-			fn(int(ids[i]), ws[i])
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if g.visibleTo(int(ids[i]), ws[i]) {
-			fn(int(ids[i]), ws[i])
+	for i, to := range ids {
+		if w := ws[i]; g.visibleTo(int(to), w) {
+			fn(int(to), w)
 		}
 	}
 }
@@ -219,15 +161,8 @@ func (g *Graph) OutDegree(u int) int {
 	if g.plain() {
 		return g.off[u+1] - g.off[u]
 	}
-	if g.dropped(u) {
-		return 0
-	}
 	d := 0
-	g.visitRow(u, func(to int, w float64) {
-		if g.visibleTo(to, w) {
-			d++
-		}
-	})
+	g.VisitNeighbors(u, func(int, float64) { d++ })
 	return d
 }
 
@@ -235,20 +170,14 @@ func (g *Graph) OutDegree(u int) int {
 // degree W(u; G) in the whole graph.
 func (g *Graph) WeightedDegree(u int) float64 {
 	var s float64
-	if g.plain() && !g.backed() {
-		for _, nb := range g.row(u) {
-			s += nb.W
+	if g.plain() {
+		_, ws := g.row(u)
+		for _, w := range ws {
+			s += w
 		}
 		return s
 	}
-	if g.dropped(u) {
-		return 0
-	}
-	g.visitRow(u, func(to int, w float64) {
-		if g.visibleTo(to, w) {
-			s += w
-		}
-	})
+	g.VisitNeighbors(u, func(_ int, w float64) { s += w })
 	return s
 }
 
@@ -258,19 +187,19 @@ func (g *Graph) Weight(u, v int) float64 {
 	if g.dropped(u) || g.dropped(v) {
 		return 0
 	}
-	if g.backed() {
-		lo, hi := g.off[u], g.off[u+1]
-		ids := g.ids[lo:hi]
-		i := sort.Search(len(ids), func(i int) bool { return int(ids[i]) >= v })
-		if i < len(ids) && int(ids[i]) == v && !g.hides(g.ws[lo+i]) {
-			return g.ws[lo+i]
+	// A hand-rolled search: this is the inner probe of 2-coordinate descent,
+	// and the generic slices.BinarySearch is not inlined.
+	ids, ws := g.row(u)
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); int(ids[mid]) < v {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		return 0
 	}
-	a := g.row(u)
-	i := sort.Search(len(a), func(i int) bool { return a[i].To >= v })
-	if i < len(a) && a[i].To == v && !g.hides(a[i].W) {
-		return a[i].W
+	if lo < len(ids) && int(ids[lo]) == v && !g.hides(ws[lo]) {
+		return ws[lo]
 	}
 	return 0
 }
@@ -290,25 +219,12 @@ func (g *Graph) Edges() []Edge {
 
 // VisitEdges calls fn for every visible undirected edge once, with u < v.
 func (g *Graph) VisitEdges(fn func(u, v int, w float64)) {
-	if g.backed() {
-		for u := 0; u < g.n; u++ {
-			if g.dropped(u) {
-				continue
-			}
-			for i := g.off[u]; i < g.off[u+1]; i++ {
-				to, w := int(g.ids[i]), g.ws[i]
-				if to > u && g.visibleTo(to, w) {
-					fn(u, to, w)
-				}
-			}
-		}
-		return
-	}
 	if g.plain() {
 		for u := 0; u < g.n; u++ {
-			for _, nb := range g.row(u) {
-				if nb.To > u {
-					fn(u, nb.To, nb.W)
+			ids, ws := g.row(u)
+			for i, to := range ids {
+				if int(to) > u {
+					fn(u, int(to), ws[i])
 				}
 			}
 		}
@@ -318,9 +234,10 @@ func (g *Graph) VisitEdges(fn func(u, v int, w float64)) {
 		if g.dropped(u) {
 			continue
 		}
-		for _, nb := range g.row(u) {
-			if nb.To > u && g.visibleTo(nb.To, nb.W) {
-				fn(u, nb.To, nb.W)
+		ids, ws := g.row(u)
+		for i, to := range ids {
+			if w := ws[i]; int(to) > u && g.visibleTo(int(to), w) {
+				fn(u, int(to), w)
 			}
 		}
 	}
@@ -464,7 +381,7 @@ func (g *Graph) PositivePart() *Graph {
 	if g.posOnly {
 		return g
 	}
-	v := &Graph{n: g.n, off: g.off, nbr: g.nbr, ids: g.ids, ws: g.ws, drop: g.drop, posOnly: true}
+	v := &Graph{n: g.n, off: g.off, ids: g.ids, ws: g.ws, backed: g.backed, drop: g.drop, posOnly: true}
 	v.recount()
 	return v
 }
@@ -512,22 +429,24 @@ func (g *Graph) WithoutVertices(S []int) *Graph {
 			newly = append(newly, v)
 		}
 	}
-	v := &Graph{n: g.n, m: g.m, totalW: g.totalW, off: g.off, nbr: g.nbr,
-		ids: g.ids, ws: g.ws, drop: drop, posOnly: g.posOnly}
+	v := &Graph{n: g.n, m: g.m, totalW: g.totalW, off: g.off, ids: g.ids, ws: g.ws,
+		backed: g.backed, drop: drop, posOnly: g.posOnly}
 	// Subtract every edge that just became invisible: edges visible in g with
 	// at least one endpoint newly dropped. An edge between two newly dropped
 	// vertices is walked from both rows; the smaller endpoint counts it.
 	for _, u := range newly {
-		g.visitRow(u, func(to int, w float64) {
+		ids, ws := g.row(u)
+		for i, t := range ids {
+			to, w := int(t), ws[i]
 			if g.hides(w) || g.dropped(to) {
-				return // was not visible in g
+				continue // was not visible in g
 			}
 			if to < u && drop[to] && !g.dropped(to) {
-				return // both ends newly dropped: counted from to's row
+				continue // both ends newly dropped: counted from to's row
 			}
 			v.m--
 			v.totalW -= w
-		})
+		}
 	}
 	return v
 }
@@ -548,35 +467,15 @@ func (g *Graph) Scale(c float64) *Graph {
 	return g.mapWeights(func(w float64) float64 { return w * c })
 }
 
-// mapWeights materializes a plain graph applying f to every visible edge
-// weight; edges for which f returns 0 are dropped. One pass, two allocations.
+// mapWeights materializes a plain heap graph applying f to every visible
+// edge weight; edges for which f returns 0 are dropped. One pass.
 func (g *Graph) mapWeights(f func(w float64) float64) *Graph {
-	off := make([]int, g.n+1)
-	nbr := make([]Neighbor, 0, 2*g.m)
-	m := 0
-	var tw float64
+	a := newRowAppender(g.n, 2*g.m)
 	for u := 0; u < g.n; u++ {
-		off[u] = len(nbr)
-		if g.dropped(u) {
-			continue
-		}
-		g.visitRow(u, func(to int, bw float64) {
-			if !g.visibleTo(to, bw) {
-				return
-			}
-			w := f(bw)
-			if w == 0 {
-				return
-			}
-			nbr = append(nbr, Neighbor{To: to, W: w})
-			if to > u {
-				m++
-				tw += w
-			}
-		})
+		a.startRow(u)
+		g.VisitNeighbors(u, func(to int, w float64) { a.add(u, to, f(w)) })
 	}
-	off[g.n] = len(nbr)
-	return &Graph{n: g.n, m: m, totalW: tw, off: off, nbr: nbr}
+	return a.graph()
 }
 
 // Stats summarizes a (difference) graph the way Table II of the paper does.

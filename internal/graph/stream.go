@@ -101,24 +101,24 @@ func NewMaintainer(expect, obs *Graph, lambda float64) *Maintainer {
 	expect, obs = expect.Compact(), obs.Compact()
 	n := expect.n
 	m := &Maintainer{n: n, lambda: lambda, scale: 1, rows: make([][]streamEntry, n)}
-	erow, orow := expect.rowFn(), obs.rowFn()
 	for u := 0; u < n; u++ {
-		a1, a2 := erow(u), orow(u)
-		if len(a1) == 0 && len(a2) == 0 {
+		ids1, ws1 := expect.row(u)
+		ids2, ws2 := obs.row(u)
+		if len(ids1) == 0 && len(ids2) == 0 {
 			continue
 		}
-		row := make([]streamEntry, 0, len(a1)+len(a2))
+		row := make([]streamEntry, 0, len(ids1)+len(ids2))
 		i, j := 0, 0
-		for i < len(a1) || j < len(a2) {
+		for i < len(ids1) || j < len(ids2) {
 			switch {
-			case j >= len(a2) || (i < len(a1) && a1[i].To < a2[j].To):
-				row = append(row, streamEntry{To: a1[i].To, Obs: 0, H: -a1[i].W})
+			case j >= len(ids2) || (i < len(ids1) && ids1[i] < ids2[j]):
+				row = append(row, streamEntry{To: int(ids1[i]), Obs: 0, H: -ws1[i]})
 				i++
-			case i >= len(a1) || a2[j].To < a1[i].To:
-				row = append(row, streamEntry{To: a2[j].To, Obs: a2[j].W, H: a2[j].W})
+			case i >= len(ids1) || ids2[j] < ids1[i]:
+				row = append(row, streamEntry{To: int(ids2[j]), Obs: ws2[j], H: ws2[j]})
 				j++
 			default:
-				row = append(row, streamEntry{To: a1[i].To, Obs: a2[j].W, H: a2[j].W - a1[i].W})
+				row = append(row, streamEntry{To: int(ids1[i]), Obs: ws2[j], H: ws2[j] - ws1[i]})
 				i++
 				j++
 			}
@@ -255,26 +255,14 @@ func (m *Maintainer) materialize(f func(u int, s streamEntry) float64) *Graph {
 	for _, row := range m.rows {
 		size += len(row)
 	}
-	off := make([]int, m.n+1)
-	nbr := make([]Neighbor, 0, size)
-	edges := 0
-	var tw float64
+	a := newRowAppender(m.n, size)
 	for u, row := range m.rows {
-		off[u] = len(nbr)
+		a.startRow(u)
 		for _, s := range row {
-			w := f(u, s)
-			if w == 0 {
-				continue
-			}
-			nbr = append(nbr, Neighbor{To: s.To, W: w})
-			if s.To > u {
-				edges++
-				tw += w
-			}
+			a.add(u, s.To, f(u, s))
 		}
 	}
-	off[m.n] = len(nbr)
-	return &Graph{n: m.n, m: edges, totalW: tw, off: off, nbr: nbr}
+	return a.graph()
 }
 
 // Observation materializes the pre-tick observation graph: between BeginTick
@@ -339,28 +327,17 @@ func (m *Maintainer) DiffInduced(S []int) (*Graph, []int) {
 		local.b[v] = i + 1 // 0 means "not in S"
 	}
 	scale := m.scale
-	n := len(S)
-	off := make([]int, n+1)
-	nbr := make([]Neighbor, 0, 4*n)
-	edges := 0
-	var tw float64
+	a := newRowAppender(len(S), 4*len(S))
 	for i, v := range S {
-		off[i] = len(nbr)
+		a.startRow(i)
 		for _, s := range m.rows[v] {
 			if j := local.b[s.To]; j != 0 {
-				if w := scale * s.H; w != 0 {
-					nbr = append(nbr, Neighbor{To: j - 1, W: w})
-					if s.To > v {
-						edges++
-						tw += w
-					}
-				}
+				a.add(i, j-1, scale*s.H)
 			}
 		}
 	}
-	off[n] = len(nbr)
 	local.release(S)
-	return &Graph{n: n, m: edges, totalW: tw, off: off, nbr: nbr}, orig
+	return a.graph(), orig
 }
 
 // VisitDiffNeighbors calls f for every neighbor of u in the difference graph

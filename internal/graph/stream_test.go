@@ -203,11 +203,11 @@ func TestMaintainerDiffAccessors(t *testing.T) {
 		}
 
 		for u := 0; u < 25; u++ {
-			var visited []Neighbor
+			var visited []entry
 			mt.VisitDiffNeighbors(u, func(v int, w float64) {
-				visited = append(visited, Neighbor{To: v, W: w})
+				visited = append(visited, entry{To: v, W: w})
 			})
-			row := gd.Neighbors(u)
+			row := neighbors(gd, u)
 			if len(visited) != len(row) {
 				t.Fatalf("vertex %d: visited %d neighbors, want %d", u, len(visited), len(row))
 			}

@@ -41,40 +41,42 @@ func checkInvariants(t *testing.T, g *graph.Graph) {
 	if len(g.Edges()) != m {
 		t.Fatalf("Edges() returned %d edges, scan found %d", len(g.Edges()), m)
 	}
+	off, ids, ws := g.CSR()
 	for u := 0; u < g.N(); u++ {
-		row := g.Neighbors(u)
+		row, rws := ids[off[u]:off[u+1]], ws[off[u]:off[u+1]]
 		if len(row) != g.OutDegree(u) {
-			t.Fatalf("vertex %d: len(Neighbors) = %d, OutDegree = %d", u, len(row), g.OutDegree(u))
+			t.Fatalf("vertex %d: CSR row has %d entries, OutDegree = %d", u, len(row), g.OutDegree(u))
 		}
 		var wd float64
-		for i, nb := range row {
-			if i > 0 && row[i-1].To >= nb.To {
-				t.Fatalf("vertex %d: Neighbors not strictly sorted at %d", u, i)
+		for i, id := range row {
+			to, w := int(id), rws[i]
+			if i > 0 && row[i-1] >= id {
+				t.Fatalf("vertex %d: CSR row not strictly sorted at %d", u, i)
 			}
-			if nb.W == 0 {
-				t.Fatalf("vertex %d: zero-weight neighbor entry %d", u, nb.To)
+			if w == 0 {
+				t.Fatalf("vertex %d: zero-weight neighbor entry %d", u, to)
 			}
-			if got := g.Weight(u, nb.To); got != nb.W {
-				t.Fatalf("Weight(%d,%d) = %v, row says %v", u, nb.To, got, nb.W)
+			if got := g.Weight(u, to); got != w {
+				t.Fatalf("Weight(%d,%d) = %v, row says %v", u, to, got, w)
 			}
-			if got := g.Weight(nb.To, u); got != nb.W {
-				t.Fatalf("Weight(%d,%d) = %v, want symmetric %v", nb.To, u, got, nb.W)
+			if got := g.Weight(to, u); got != w {
+				t.Fatalf("Weight(%d,%d) = %v, want symmetric %v", to, u, got, w)
 			}
-			wd += nb.W
+			wd += w
 		}
 		if diff := wd - g.WeightedDegree(u); diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("vertex %d: WeightedDegree = %v, row sums to %v", u, g.WeightedDegree(u), wd)
 		}
-		// VisitNeighbors must agree with Neighbors entry for entry.
+		// VisitNeighbors must agree with the CSR row entry for entry.
 		i := 0
 		g.VisitNeighbors(u, func(v int, w float64) {
-			if i >= len(row) || row[i].To != v || row[i].W != w {
-				t.Fatalf("vertex %d: VisitNeighbors diverges from Neighbors at %d", u, i)
+			if i >= len(row) || int(row[i]) != v || rws[i] != w {
+				t.Fatalf("vertex %d: VisitNeighbors diverges from the CSR row at %d", u, i)
 			}
 			i++
 		})
 		if i != len(row) {
-			t.Fatalf("vertex %d: VisitNeighbors visited %d entries, Neighbors has %d", u, i, len(row))
+			t.Fatalf("vertex %d: VisitNeighbors visited %d entries, the CSR row has %d", u, i, len(row))
 		}
 	}
 }
@@ -179,7 +181,7 @@ func TestWithoutVerticesViewEquivalence(t *testing.T) {
 		checkInvariants(t, gw)
 		sameGraph(t, gw, rebuildWithout(g, S))
 		for _, v := range S {
-			if gw.OutDegree(v) != 0 || gw.WeightedDegree(v) != 0 || gw.Neighbors(v) != nil {
+			if gw.OutDegree(v) != 0 || gw.WeightedDegree(v) != 0 || gw.Compact().OutDegree(v) != 0 {
 				t.Fatalf("dropped vertex %d still has visible edges", v)
 			}
 		}

@@ -423,8 +423,8 @@ func paramObjects(pass *Pass, fd *ast.FuncDecl) []types.Object {
 	return out
 }
 
-// isCSRCall reports whether call is g.CSR() (or g.Materialize-free raw
-// accessors of the same shape) on the graph package's Graph type.
+// isCSRCall reports whether call is g.CSR() on the graph package's Graph
+// type.
 func isCSRCall(pass *Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "CSR" {

@@ -158,6 +158,10 @@ func TestPersistCorruptGraphFileDegradesGracefully(t *testing.T) {
 	if st.SnapshotsRestored != 1 || st.RestoreErrors != 1 {
 		t.Fatalf("stats %+v, want 1 restored / 1 error", st)
 	}
+	var h HealthResponse
+	if code := doJSON(t, s2, http.MethodGet, "/healthz", nil, &h); code != http.StatusOK || h.Status != "degraded" {
+		t.Fatalf("healthz after a corrupt restore: %d %q, want 200 degraded", code, h.Status)
+	}
 	// The corrupt name's version counter still survived via its manifest.
 	if info, _ := s2.Store().Put("bad", testGraph(3)); info.Version != 2 {
 		t.Fatalf("version after corrupt restore: %d, want 2", info.Version)
@@ -234,6 +238,10 @@ func TestPersistWriteFailureSurfaces(t *testing.T) {
 	}
 	if st := s.PersistStats(); st.WriteErrors == 0 {
 		t.Fatalf("write failure not counted: %+v", st)
+	}
+	var h HealthResponse
+	if code := doJSON(t, s, http.MethodGet, "/healthz", nil, &h); code != http.StatusOK || h.Status != "degraded" {
+		t.Fatalf("healthz after a failed write: %d %q, want 200 degraded", code, h.Status)
 	}
 	if _, ok := s.Store().Get("g"); !ok {
 		t.Fatal("in-memory registry should still hold the snapshot")
@@ -576,6 +584,9 @@ func TestHealthzReportsPersistence(t *testing.T) {
 	p := health.Persistence
 	if !p.Enabled || p.SnapshotsRestored != 1 || p.WatchesRestored != 1 {
 		t.Fatalf("healthz persistence %+v", p)
+	}
+	if health.Status != "ok" {
+		t.Fatalf("healthz status after a clean restore = %q, want ok", health.Status)
 	}
 
 	// In-memory servers advertise persistence as disabled.

@@ -370,8 +370,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
+	persist := s.PersistStats()
+	status := "ok"
+	if persist.RestoreErrors > 0 || persist.WriteErrors > 0 {
+		status = "degraded"
+	}
 	writeJSON(w, http.StatusOK, HealthResponse{
-		Status:      "ok",
+		Status:      status,
 		Snapshots:   s.store.Len(),
 		InFlight:    s.pool.InFlight(),
 		Waiting:     s.pool.Waiting(),
@@ -379,7 +384,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		DiffCache:   s.dcache.stats(),
 		Jobs:        s.jobs.stats(),
 		Watches:     s.watches.stats(),
-		Persistence: s.PersistStats(),
+		Persistence: persist,
 		Memory:      s.MemoryStats(),
 	})
 }

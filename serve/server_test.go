@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	dcs "github.com/dcslib/dcs"
 )
 
 // fp builds the *float64 request fields (Alpha) from a literal.
@@ -123,6 +125,10 @@ func TestSnapshotErrors(t *testing.T) {
 		if code := doJSON(t, s, http.MethodPost, "/v1/snapshots", c.req, nil); code != c.want {
 			t.Errorf("%s: status %d, want %d", c.name, code, c.want)
 		}
+	}
+	// Past the graph's vertex limit Build errors, whatever MaxVertices allows.
+	if _, err := (&GraphJSON{N: dcs.MaxN + 1}).Build(); err == nil {
+		t.Error("GraphJSON.Build accepted a vertex count past dcs.MaxN")
 	}
 	if code := doJSON(t, s, http.MethodDelete, "/v1/snapshots", nil, nil); code != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE: status %d, want 405", code)

@@ -82,6 +82,9 @@ func (g *GraphJSON) Build() (*dcs.Graph, error) {
 	if g.N < 0 {
 		return nil, fmt.Errorf("negative vertex count %d", g.N)
 	}
+	if g.N > dcs.MaxN {
+		return nil, fmt.Errorf("vertex count %d exceeds the graph limit %d", g.N, dcs.MaxN)
+	}
 	b := dcs.NewBuilder(g.N)
 	for i, e := range g.Edges {
 		if e.U < 0 || e.U >= g.N || e.V < 0 || e.V >= g.N {
@@ -412,8 +415,11 @@ type MemoryStats struct {
 	Remaps    uint64 `json:"remaps"`
 }
 
-// HealthResponse is the body returned by GET /healthz.
+// HealthResponse is the body returned by GET /healthz, always with HTTP 200
+// while the server is up.
 type HealthResponse struct {
+	// Status is "ok", or "degraded" once the persistence layer has counted a
+	// restore error or a write error.
 	Status    string  `json:"status"`
 	Snapshots int     `json:"snapshots"`
 	InFlight  int     `json:"in_flight"`
