@@ -176,9 +176,12 @@ type ContrastClique = core.Clique
 // FindAverageDegreeDCSOnParCtx finds the subgraph maximizing ρ2(S) − ρ1(S)
 // by running DCSGreedy on the (signed) difference graph gd = G2 − G1. The
 // solve is spread over at most workers goroutines: the Greedy(GD) and
-// Greedy(GD+) peels run concurrently and each peel fans its connected
-// components out on the pool. When ctx is done the solver returns its
-// best-so-far subgraph tagged Interrupted (see the package documentation).
+// Greedy(GD+) peels run concurrently and each peel fans runs of its
+// connected components out on the pool. Each peel works on a pooled dense
+// workspace that reads gd's rows in place, views included, so repeated
+// solves allocate little beyond their answers. When ctx is done the solver
+// returns its best-so-far subgraph tagged Interrupted (see the package
+// documentation).
 func FindAverageDegreeDCSOnParCtx(ctx context.Context, gd *Graph, workers int) AverageDegreeResult {
 	return core.DCSGreedyCtx(ctx, gd, workers)
 }

@@ -65,7 +65,7 @@ func newADResult(gd *graph.Graph, S []int, ratio float64) ADResult {
 //
 // Total cost is O((m+n) log n).
 func DCSGreedy(gd *graph.Graph) ADResult {
-	return dcsGreedyParRS(gd, runstate.New(nil), 1)
+	return dcsGreedyParRS(gd, nil, runstate.New(nil), 1)
 }
 
 // DCSGreedyCtx is DCSGreedy with cooperative cancellation and the expensive
@@ -79,10 +79,13 @@ func DCSGreedy(gd *graph.Graph) ADResult {
 // certificate arithmetic stay sequential, so the result is bitwise identical
 // to DCSGreedy at every degree; workers ≤ 1 is exactly DCSGreedy.
 func DCSGreedyCtx(ctx context.Context, gd *graph.Graph, workers int) ADResult {
-	return dcsGreedyParRS(gd, runstate.New(ctx), workers)
+	return dcsGreedyParRS(gd, nil, runstate.New(ctx), workers)
 }
 
-func dcsGreedyParRS(gd *graph.Graph, rs *runstate.State, workers int) ADResult {
+// dcsGreedyParRS runs Algorithm 2 on gd. gdp is GD+ — any graph whose
+// visible rows are exactly gd's positive entries, such as a view over a
+// memoized materialization — or nil for gd.PositivePartCompact().
+func dcsGreedyParRS(gd, gdp *graph.Graph, rs *runstate.State, workers int) ADResult {
 	maxEdge, ok := gd.MaxEdge()
 	if !ok || maxEdge.W <= 0 {
 		// No positive edge: any single vertex is optimal with density 0.
@@ -91,9 +94,11 @@ func dcsGreedyParRS(gd *graph.Graph, rs *runstate.State, workers int) ADResult {
 		}
 		return newADResult(gd, []int{0}, 1)
 	}
-	// Materialize GD+ once (single pass): Greedy makes several full passes
-	// over it, which a plain CSR serves without per-edge filtering.
-	gdp := gd.PositivePartCompact()
+	if gdp == nil {
+		// Materialize GD+ once (single pass): Greedy makes several full passes
+		// over it, which a plain CSR serves without per-edge filtering.
+		gdp = gd.PositivePartCompact()
+	}
 
 	S := []int{maxEdge.U, maxEdge.V}
 	var s1, s2 densest.Result

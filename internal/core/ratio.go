@@ -102,7 +102,7 @@ func maxRatioContrastParRS(g1, g2 *graph.Graph, rs *runstate.State, workers int)
 	}
 	feasible := func(alpha float64, frs *runstate.State) ([]int, bool) {
 		gd := graph.DifferenceAlpha(g1, g2, alpha)
-		res := dcsGreedyParRS(gd, frs, 1)
+		res := dcsGreedyParRS(gd, nil, frs, 1)
 		// An interrupted probe with positive density is still a valid
 		// certificate — any S with ρ_D(S) > 0 proves ρ2(S) > α·ρ1(S), no
 		// matter how early the greedy was cut — so the witness is kept (the

@@ -7,6 +7,11 @@ import (
 	"github.com/dcslib/dcs/internal/runstate"
 )
 
+// topKHint caps the result capacity reserved before any pick exists: k is
+// caller-controlled and the loop usually stops after a few picks, so a
+// larger k grows the slice with the picks actually found.
+const topKHint = 16
+
 // TopKAverageDegree mines up to k vertex-disjoint density contrast subgraphs
 // under the average-degree measure, addressing the paper's stated future-work
 // direction ("how to mine multiple subgraphs with big density difference").
@@ -46,10 +51,14 @@ func TopKAverageDegreePar(gd *graph.Graph, k, workers int) []ADResult {
 }
 
 func topKAverageDegreeParRS(gd *graph.Graph, k int, rs *runstate.State, workers int) ([]ADResult, bool) {
-	var out []ADResult
-	work := gd
+	// Every pick holds a positive edge, so there are at most n/2 of them.
+	out := make([]ADResult, 0, max(0, min(k, gd.N()/2, topKHint)))
+	// GD+ is derived once and stripped alongside GD: (GD∖S)+ and GD+∖S have
+	// the same visible rows, so every round peels a view over the first
+	// round's GD+ instead of materializing a new one.
+	work, workPos := gd, gd.PositivePartCompact()
 	for len(out) < k {
-		res := dcsGreedyParRS(work, rs, workers)
+		res := dcsGreedyParRS(work, workPos, rs, workers)
 		if res.Interrupted {
 			// With completed picks in hand, the truncated pick is discarded
 			// (not comparable to them). With none, it *is* the best-so-far
@@ -68,6 +77,7 @@ func topKAverageDegreeParRS(gd *graph.Graph, k int, rs *runstate.State, workers 
 		// subgraph (and hence every metric) is identical — asserted in tests.
 		out = append(out, newADResult(gd, res.S, res.Ratio))
 		work = work.WithoutVertices(res.S)
+		workPos = workPos.WithoutVertices(res.S)
 	}
 	// Interrupted() (the latch), not a fresh poll: a cancellation landing
 	// after the k-th subgraph completed must not mislabel a full answer.
@@ -94,7 +104,7 @@ func TopKGraphAffinityCtx(ctx context.Context, gd *graph.Graph, k int, opt GAOpt
 func topKGraphAffinityRS(gd *graph.Graph, k int, opt GAOptions, rs *runstate.State) ([]Clique, bool) {
 	cliques, interrupted := collectCliquesRS(gd, opt, rs)
 	taken := make([]bool, gd.N())
-	var out []Clique
+	out := make([]Clique, 0, max(0, min(k, len(cliques))))
 	for _, c := range cliques {
 		if len(out) >= k || rs.Checkpoint() {
 			break // greedy selection: any prefix is a valid disjoint top-k'

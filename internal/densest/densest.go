@@ -16,12 +16,12 @@ package densest
 
 import (
 	"math"
+	"sync/atomic"
 
 	"github.com/dcslib/dcs/internal/graph"
 	"github.com/dcslib/dcs/internal/maxflow"
 	"github.com/dcslib/dcs/internal/par"
 	"github.com/dcslib/dcs/internal/runstate"
-	"github.com/dcslib/dcs/internal/vheap"
 )
 
 // Result is a dense subgraph along with its density.
@@ -34,7 +34,8 @@ type Result struct {
 // graph that may have positive or negative weights: repeatedly remove the
 // vertex with minimum weighted degree, remember the best prefix. On graphs
 // with only positive weights the result is a 2-approximation of the maximum
-// average degree. Runs in O((m+n) log n) using an indexed heap.
+// average degree. Runs in O((m+n) log n) using an indexed heap; g may be a
+// view.
 //
 // The empty graph yields an empty result; an edgeless graph yields a single
 // vertex with density 0.
@@ -74,143 +75,188 @@ func GreedyPar(g *graph.Graph, workers int) Result {
 // is cooperative: each worker checkpoints once per pop, and a cancelled peel
 // merges whatever prefixes completed — still a valid subgraph with an exact
 // density, never empty on a non-empty graph.
+//
+// All three phases run on one pooled workspace (workspace.go) that reads g's
+// CSR rows directly and honours a view's masks on every read, so a view is
+// peeled as is; a warm call allocates only the returned vertex set.
 func GreedyParRS(g *graph.Graph, rs *runstate.State, workers int) Result {
 	n := g.N()
 	if n == 0 {
 		return Result{}
 	}
-	workers = par.Workers(workers)
-	comps, loc := componentLists(g, rs)
-	if comps == nil {
+	ws := acquireWorkspace()
+	ws.grow(n)
+	res := ws.greedy(g, rs, workers)
+	ws.release()
+	return res
+}
+
+// greedy is GreedyParRS on ws; it leaves every pos slot −1.
+func (ws *workspace) greedy(g *graph.Graph, rs *runstate.State, workers int) Result {
+	n := g.N()
+	ws.g = g.Rows()
+	nc, ok := ws.components(n, rs)
+	if !ok {
 		// Cancelled during component discovery: fall back to the degenerate
 		// single-vertex answer of Algorithm 2 (density 0), never empty.
 		return Result{S: []int{0}}
 	}
-	peels := make([]compPeel, len(comps))
-	if workers <= 1 || len(comps) < 2 {
+	workers = par.Workers(workers)
+	if workers <= 1 || nc < 2 {
 		// Inline: rs is used directly, preserving its amortization counter and
-		// latching interruption on the caller's state.
-		for i := range comps {
-			peels[i] = peelComponent(g, comps[i], loc, rs)
+		// latching interruption on the caller's state. A cancelled run still
+		// visits every component, so each contributes its total degree.
+		for c := 0; c < nc; c++ {
+			ws.peel(c, rs)
 		}
 	} else {
-		cut := make([]bool, len(comps))
-		par.Run(workers, len(comps), func(i int) {
-			// A State is single-goroutine; fork one per task. Fork only reads
-			// the immutable done channel, so concurrent forks are safe.
-			wrs := rs.Fork()
-			peels[i] = peelComponent(g, comps[i], loc, wrs)
-			cut[i] = wrs.Interrupted()
-		})
-		for _, c := range cut {
-			if c {
-				// A worker can only observe cancellation after the context is
-				// done, so this poll latches the caller's state too.
-				rs.Cancelled()
-				break
-			}
-		}
+		ws.peelPar(n, nc, rs, workers)
 	}
-	return mergePeels(n, peels, rs)
+	return ws.mergePeels(n, nc, rs)
 }
 
-// compPeel is one component's recorded peel: the removal order (global ids),
-// the weighted degree each vertex had at its pop, and the component's initial
-// total degree. order may be short of the component size when the peel was
-// cancelled mid-way.
+// compPeel is one component's recorded peel: its initial total degree and
+// how many removals its segment of members/popDeg holds — short of the
+// component size when the peel was cancelled. next is the merge's cursor.
 type compPeel struct {
-	order  []int
-	popDeg []float64
-	td     float64
+	td   float64
+	pops int32
+	next int32
 }
 
-// componentLists partitions all vertices (masked and isolated ones form
-// singleton components) into connected components. Component lists are in
-// ascending vertex order and components are ordered by smallest member; loc
-// maps each vertex to its index within its component — both facts the peel
-// and merge rely on for deterministic tie-breaking. A run cancelled mid-BFS
-// returns (nil, nil): a partial partition would mis-route the peel.
-func componentLists(g *graph.Graph, rs *runstate.State) (comps [][]int, loc []int32) {
-	n := g.N()
-	cid := make([]int32, n)
+// components partitions all n vertices (masked and isolated ones form
+// singleton components) into connected components, writing them to members
+// grouped by component and delimited by start. Members are ascending within
+// a component and components are ordered by smallest member — both facts the
+// peel and merge rely on for deterministic tie-breaking. A run cancelled
+// mid-sweep reports false: a partial partition would mis-route the peel.
+func (ws *workspace) components(n int, rs *runstate.State) (nc int, ok bool) {
+	cid := ws.cid[:n]
 	for i := range cid {
 		cid[i] = -1
 	}
-	var stack []int
-	nc := int32(0)
-	for v := 0; v < n; v++ {
+	// Every vertex is pushed at most once, so an n-slot stack never overflows.
+	stack := ws.stack[:n]
+	id := int32(0)
+	for v := int32(0); v < int32(n); v++ {
 		if rs.Checkpoint() {
-			return nil, nil
+			return 0, false
 		}
 		if cid[v] >= 0 {
 			continue
 		}
-		id := nc
-		nc++
 		cid[v] = id
-		stack = append(stack[:0], v)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			g.VisitNeighbors(u, func(w int, _ float64) {
-				if cid[w] < 0 {
-					cid[w] = id
-					stack = append(stack, w)
+		stack[0] = v
+		//lint:allow loopcheck -- one traversal per component; the outer sweep checkpoints once per vertex
+		for top := 1; top > 0; {
+			top--
+			u := stack[top]
+			if ws.g.Dropped(u) {
+				continue
+			}
+			ids, wts := ws.g.Row(u)
+			for i, t := range ids {
+				if ws.g.Visible(t, wts[i]) && cid[t] < 0 {
+					cid[t] = id
+					stack[top] = t
+					top++
 				}
-			})
+			}
 		}
+		id++
 	}
-	counts := make([]int32, nc)
-	for _, id := range cid {
-		counts[id]++
+	// Counting sort by component id. Counts go to start[c+2]; the prefix sum
+	// turns start[c+1] into c's first slot, which then serves as c's fill
+	// cursor and ends as c's end — the start of c+1.
+	start := ws.start[:id+2]
+	clear(start)
+	for _, c := range cid {
+		start[c+2]++
 	}
-	arena := make([]int, n)
-	comps = make([][]int, nc)
-	pos := int32(0)
-	for i := range comps {
-		comps[i] = arena[pos:pos:(pos + counts[i])]
-		pos += counts[i]
+	for c := 2; c < len(start); c++ {
+		start[c] += start[c-1]
 	}
-	loc = make([]int32, n)
-	for v := 0; v < n; v++ {
-		id := cid[v]
-		loc[v] = int32(len(comps[id]))
-		comps[id] = append(comps[id], v)
+	for v, c := range cid {
+		ws.members[start[c+1]] = int32(v)
+		start[c+1]++
 	}
-	return comps, loc
+	return int(id), true
 }
 
-// peelComponent runs the heap peel restricted to one component, over local
-// indices (vheap's tie-break by local index matches ascending global id,
-// since verts is sorted). One checkpoint per pop, exactly like the classic
-// single-heap loop.
-func peelComponent(g *graph.Graph, verts []int, loc []int32, rs *runstate.State) compPeel {
-	nc := len(verts)
-	deg := make([]float64, nc)
-	for i, v := range verts {
-		deg[i] = g.WeightedDegree(v)
-	}
+// peel runs the heap peel of component c on its own segment of the arenas:
+// the heap is built from the member list, which the removal order then
+// overwrites. One checkpoint per pop, exactly like the classic single-heap
+// loop; a cancelled peel returns its unpopped pos slots to −1.
+func (ws *workspace) peel(c int, rs *runstate.State) {
+	lo, hi := ws.start[c], ws.start[c+1]
+	order := ws.members[lo:hi]
+	popDeg := ws.popDeg[lo:hi]
+	hp := peelHeap{h: ws.heap[lo:hi], pos: ws.pos}
 	var td float64
-	for _, d := range deg {
+	//lint:allow loopcheck -- one O(vol C) degree pass; it must complete even when cancelled, since the merge needs every component's full total degree
+	for i, v := range order {
+		d := ws.degree(v)
 		td += d
+		hp.h[i] = entry{key: d, v: v}
 	}
-	h := vheap.New(deg)
-	order := make([]int, 0, nc)
-	popDeg := make([]float64, 0, nc)
-	for h.Len() > 0 {
+	hp.init()
+	pops := 0
+	for len(hp.h) > 0 {
 		if rs.Checkpoint() {
 			break
 		}
-		i, di := h.PopMin()
-		order = append(order, verts[i])
-		popDeg = append(popDeg, di)
-		g.VisitNeighbors(verts[i], func(u int, w float64) {
-			if j := int(loc[u]); h.Contains(j) {
-				h.Add(j, -w)
+		e := hp.popMin()
+		order[pops], popDeg[pops] = e.v, e.key
+		pops++
+		if ws.g.Dropped(e.v) {
+			continue
+		}
+		ids, wts := ws.g.Row(e.v)
+		for i, t := range ids {
+			// Visibility first: a hidden entry may point into another
+			// component, whose pos slots belong to another worker.
+			if w := wts[i]; ws.g.Visible(t, w) {
+				if s := ws.pos[t]; s >= 0 {
+					hp.lower(s, w)
+				}
 			}
-		})
+		}
 	}
-	return compPeel{order: order, popDeg: popDeg, td: td}
+	for _, e := range hp.h {
+		ws.pos[e.v] = -1
+	}
+	ws.peels[c] = compPeel{td: td, pops: int32(pops)}
+}
+
+// peelPar fans the component peels out over the worker pool. Components are
+// cut into contiguous runs of about n/(4·workers) vertices, so a graph of
+// many tiny components costs a few tasks rather than one per component, and
+// each task forks the run state once.
+func (ws *workspace) peelPar(n, nc int, rs *runstate.State, workers int) {
+	target := int32(n/(4*workers) + 1)
+	bounds := make([]int, 1, 4*workers+2)
+	for c := 0; c < nc; c++ {
+		if ws.start[c+1]-ws.start[bounds[len(bounds)-1]] >= target || c == nc-1 {
+			bounds = append(bounds, c+1)
+		}
+	}
+	var cut atomic.Bool
+	par.Run(workers, len(bounds)-1, func(k int) {
+		// A State is single-goroutine; fork one per task. Fork only reads
+		// the immutable done channel, so concurrent forks are safe.
+		wrs := rs.Fork()
+		for c := bounds[k]; c < bounds[k+1]; c++ {
+			ws.peel(c, wrs)
+		}
+		if wrs.Interrupted() {
+			cut.Store(true)
+		}
+	})
+	if cut.Load() {
+		// A worker can only observe cancellation after the context is done,
+		// so this poll latches the caller's state too.
+		rs.Cancelled()
+	}
 }
 
 // mergePeels replays the global peel from the per-component records: a k-way
@@ -218,7 +264,8 @@ func peelComponent(g *graph.Graph, verts []int, loc []int32, rs *runstate.State)
 // tracking W(S) and the best prefix density exactly as the classic loop did.
 // Cancellation stops the replay and keeps the best prefix evaluated so far —
 // the same contract as a peel cut short.
-func mergePeels(n int, peels []compPeel, rs *runstate.State) Result {
+func (ws *workspace) mergePeels(n, nc int, rs *runstate.State) Result {
+	peels := ws.peels[:nc]
 	// W(S) in the paper convention is the sum of in-subgraph weighted degrees;
 	// summed in component order, deterministically at every degree.
 	var totalDeg float64
@@ -226,15 +273,19 @@ func mergePeels(n int, peels []compPeel, rs *runstate.State) Result {
 		totalDeg += peels[i].td
 	}
 	// Min-heap of component indices keyed by their front pop.
-	cur := make([]int, len(peels))
-	heap := make([]int, 0, len(peels))
-	less := func(a, b int) bool {
-		da, db := peels[a].popDeg[cur[a]], peels[b].popDeg[cur[b]]
+	front := func(c int32) (float64, int32) {
+		i := ws.start[c] + peels[c].next
+		return ws.popDeg[i], ws.members[i]
+	}
+	less := func(a, b int32) bool {
+		da, va := front(a)
+		db, vb := front(b)
 		if da != db {
 			return da < db
 		}
-		return peels[a].order[cur[a]] < peels[b].order[cur[b]]
+		return va < vb
 	}
+	heap := ws.merge[:0]
 	siftDown := func(i int) {
 		//lint:allow loopcheck -- heap sift: O(log #components) hops, not graph-scale
 		for {
@@ -265,15 +316,16 @@ func mergePeels(n int, peels []compPeel, rs *runstate.State) Result {
 		}
 	}
 	for c := range peels {
-		if len(peels[c].order) > 0 {
-			heap = append(heap, c)
+		if peels[c].pops > 0 {
+			heap = append(heap, int32(c))
 			siftUp(len(heap) - 1)
 		}
 	}
 
 	bestDensity := math.Inf(-1)
 	bestSize := 0
-	removeOrder := make([]int, 0, n)
+	// The discovery stack is free again; it records the global removal order.
+	removed := ws.stack[:0]
 	size := n
 	for size >= 1 {
 		// ≥ so that ties prefer the smaller prefix: on a graph with no positive
@@ -287,16 +339,16 @@ func mergePeels(n int, peels []compPeel, rs *runstate.State) Result {
 			break // cancelled peels exhausted; keep the best evaluated prefix
 		}
 		if rs.Checkpoint() {
-			break // after ≥1 evaluation, so bestSize is set and the keep slice is consistent
+			break // after ≥1 evaluation, so bestSize is set and the keep marks are consistent
 		}
 		c := heap[0]
-		v, dv := peels[c].order[cur[c]], peels[c].popDeg[cur[c]]
-		cur[c]++
-		removeOrder = append(removeOrder, v)
+		dv, v := front(c)
+		peels[c].next++
+		removed = append(removed, v)
 		// Removing v: v's degree leaves W once, and every remaining neighbor
 		// loses w(u,v) from its degree — so W(S) drops by 2·dv in total.
 		totalDeg -= 2 * dv
-		if cur[c] >= len(peels[c].order) {
+		if peels[c].next >= peels[c].pops {
 			heap[0] = heap[len(heap)-1]
 			heap = heap[:len(heap)-1]
 		}
@@ -304,17 +356,15 @@ func mergePeels(n int, peels []compPeel, rs *runstate.State) Result {
 		size--
 	}
 	// The best prefix keeps the vertices *not yet removed* when |S| == bestSize,
-	// i.e. everything except the first n-bestSize removals.
-	keep := make([]bool, n)
-	for v := range keep {
-		keep[v] = true
-	}
-	for i := 0; i < n-bestSize; i++ {
-		keep[removeOrder[i]] = false
+	// i.e. everything except the first n-bestSize removals. Component ids are
+	// no longer needed, so cid doubles as the mark: −1 = removed.
+	cid := ws.cid[:n]
+	for _, v := range removed[:n-bestSize] {
+		cid[v] = -1
 	}
 	S := make([]int, 0, bestSize)
-	for v := 0; v < n; v++ {
-		if keep[v] {
+	for v, c := range cid {
+		if c >= 0 {
 			S = append(S, v)
 		}
 	}

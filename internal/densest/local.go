@@ -39,8 +39,21 @@ func LocalImproveRS(g *graph.Graph, seed []int, maxRounds int, rs *runstate.Stat
 	if maxRounds <= 0 {
 		maxRounds = defaultImproveRounds
 	}
+	ws := acquireWorkspace()
+	ws.growImprove(g.N())
+	ws.g = g.Rows()
+	res := ws.improve(g, seed, maxRounds, rs)
+	ws.release()
+	return res
+}
+
+// improve is LocalImproveRS on ws's dense scratch: membership marks, the
+// connection weights w(v, S) and per-round candidate stamps. It restores
+// in and conn to all-zero through the rows that fed them, so a call costs
+// O(vol of every set it visited), never O(n).
+func (ws *workspace) improve(g *graph.Graph, seed []int, maxRounds int, rs *runstate.State) Result {
 	n := g.N()
-	in := make([]bool, n)
+	in, conn, seen := ws.in[:n], ws.conn[:n], ws.seen[:n]
 	S := make([]int, 0, len(seed))
 	for _, v := range seed {
 		if !in[v] {
@@ -52,14 +65,14 @@ func LocalImproveRS(g *graph.Graph, seed []int, maxRounds int, rs *runstate.Stat
 
 	// conn[v] = w(v, S) single-counted, maintained incrementally across
 	// moves: adding/removing u shifts conn of u's neighbors only.
-	conn := make([]float64, n)
 	for _, u := range S {
 		if rs.Checkpoint() {
 			break // round loop below polls the same latched State and exits
 		}
-		g.VisitNeighbors(u, func(v int, wt float64) { conn[v] += wt })
+		ws.shiftConn(int32(u), 1)
 	}
 
+	ws.added = ws.added[:0]
 	for round := 0; round < maxRounds; round++ {
 		if rs.Checkpoint() {
 			break // current S is valid; density recomputed from scratch below
@@ -69,17 +82,21 @@ func LocalImproveRS(g *graph.Graph, seed []int, maxRounds int, rs *runstate.Stat
 		bestV, bestAdd := -1, false
 		// Candidate additions: non-members with any connection into S.
 		// Scanning the frontier through S's rows keeps the round local.
-		seen := make(map[int]bool, 4*len(S))
+		epoch := ws.nextEpoch()
 		for _, u := range S {
-			g.VisitNeighbors(u, func(v int, _ float64) {
-				if in[v] || seen[v] {
-					return
+			if ws.g.Dropped(int32(u)) {
+				continue
+			}
+			ids, wts := ws.g.Row(int32(u))
+			for i, t := range ids {
+				if !ws.g.Visible(t, wts[i]) || in[t] || seen[t] == epoch {
+					continue
 				}
-				seen[v] = true
-				if r := (w + 2*conn[v]) / float64(len(S)+1); r > bestRho {
-					bestRho, bestV, bestAdd = r, v, true
+				seen[t] = epoch
+				if r := (w + 2*conn[t]) / float64(len(S)+1); r > bestRho {
+					bestRho, bestV, bestAdd = r, int(t), true
 				}
-			})
+			}
 		}
 		// Candidate removals (never empty the set).
 		if len(S) > 1 {
@@ -97,8 +114,9 @@ func LocalImproveRS(g *graph.Graph, seed []int, maxRounds int, rs *runstate.Stat
 		if bestAdd {
 			in[bestV] = true
 			S = append(S, bestV)
+			ws.added = append(ws.added, int32(bestV))
 			w += 2 * conn[bestV]
-			g.VisitNeighbors(bestV, func(v int, wt float64) { conn[v] += wt })
+			ws.shiftConn(int32(bestV), 1)
 		} else {
 			in[bestV] = false
 			for i, u := range S {
@@ -108,12 +126,51 @@ func LocalImproveRS(g *graph.Graph, seed []int, maxRounds int, rs *runstate.Stat
 				}
 			}
 			w -= 2 * conn[bestV]
-			g.VisitNeighbors(bestV, func(v int, wt float64) { conn[v] -= wt })
+			ws.shiftConn(int32(bestV), -1)
 		}
+	}
+	// Every conn entry ever written is a neighbor of a seed or of an added
+	// vertex; every member left is in S.
+	//lint:allow loopcheck -- scratch restore over the seed's rows, which the checkpointed setup loop above already walked once
+	for _, u := range seed {
+		ws.clearConn(int32(u))
+	}
+	//lint:allow loopcheck -- scratch restore: at most maxRounds added vertices
+	for _, u := range ws.added {
+		ws.clearConn(u)
+	}
+	for _, u := range S {
+		in[u] = false
 	}
 	sort.Ints(S)
 	// Recompute the final density from scratch: the incremental w above
 	// accumulates one rounding per move and the caller compares this value
 	// against freshly-evaluated candidates.
 	return Result{S: S, Density: g.AverageDegreeOf(S)}
+}
+
+// shiftConn adds (sign 1) or subtracts (sign −1) u's visible edge weights to
+// its neighbors' conn entries, in row order.
+func (ws *workspace) shiftConn(u int32, sign int) {
+	if ws.g.Dropped(u) {
+		return
+	}
+	ids, wts := ws.g.Row(u)
+	for i, t := range ids {
+		if wt := wts[i]; ws.g.Visible(t, wt) {
+			if sign > 0 {
+				ws.conn[t] += wt
+			} else {
+				ws.conn[t] -= wt
+			}
+		}
+	}
+}
+
+// clearConn zeroes the conn entry of every stored neighbor of u.
+func (ws *workspace) clearConn(u int32) {
+	ids, _ := ws.g.Row(u)
+	for _, t := range ids {
+		ws.conn[t] = 0
+	}
 }

@@ -187,3 +187,42 @@ func (a *rowAppender) graph() *Graph {
 	a.off[a.n] = len(a.ids)
 	return &Graph{n: a.n, m: a.m, totalW: a.tw, off: a.off, ids: a.ids, ws: a.ws}
 }
+
+// Rows is a read-only window onto a graph's CSR storage together with its
+// view masks, for solvers that walk rows directly instead of through
+// VisitNeighbors closures. The visible graph is the storage minus what the
+// masks hide: every entry of a row u with Dropped(u), and every entry (to, w)
+// for which Visible(to, w) is false. Honouring both on every read makes a
+// view usable as is, with no Compact.
+type Rows struct {
+	off     []int
+	ids     []int32
+	ws      []float64
+	drop    []bool // nil when no vertex is hidden
+	posOnly bool
+}
+
+// Rows returns g's storage and masks without copying anything: on a view the
+// arrays are the base graph's (on a backed graph, possibly a read-only
+// mapping), so callers must never modify them.
+func (g *Graph) Rows() Rows {
+	return Rows{off: g.off, ids: g.ids, ws: g.ws, drop: g.drop, posOnly: g.posOnly}
+}
+
+// Row returns u's stored entries as parallel id and weight slices of equal
+// length, masks not applied.
+func (r *Rows) Row(u int32) ([]int32, []float64) {
+	lo, hi := r.off[u], r.off[u+1]
+	ids := r.ids[lo:hi]
+	return ids, r.ws[lo:hi][:len(ids)]
+}
+
+// Dropped reports whether the vertex mask hides u and with it its whole row.
+func (r *Rows) Dropped(u int32) bool { return r.drop != nil && r.drop[u] }
+
+// Visible reports whether a stored entry (to, w) survives both masks. It
+// reads no per-vertex state of its own beyond the vertex mask, so a caller
+// that tests it first touches no scratch slot of a hidden neighbor.
+func (r *Rows) Visible(to int32, w float64) bool {
+	return !(r.posOnly && w <= 0) && !(r.drop != nil && r.drop[to])
+}

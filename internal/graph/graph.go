@@ -34,8 +34,9 @@
 // Every method is mask-aware and views satisfy exactly the same contracts as
 // plain graphs. VisitNeighbors is the iteration primitive and is
 // allocation-free on plain graphs and views alike; Compact flattens a view
-// into a plain graph when one is needed, and CSR exposes a plain graph's
-// arrays.
+// into a plain graph when one is needed, CSR exposes a plain graph's arrays,
+// and Rows exposes any graph's storage together with its masks for solvers
+// that walk rows directly.
 package graph
 
 import (

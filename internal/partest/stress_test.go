@@ -10,6 +10,7 @@ import (
 
 	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/densest"
+	"github.com/dcslib/dcs/internal/graph"
 )
 
 // TestConcurrentSolvesSharedGraph runs many parallel solves against the SAME
@@ -138,6 +139,46 @@ func TestGreedyParManyComponentsStress(t *testing.T) {
 				if got.Density != want.Density || !reflect.DeepEqual(got.S, want.S) {
 					t.Errorf("degree %d: diverged from sequential", deg)
 					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPeelLadderSharedViews runs the degree ladder concurrently over one set
+// of shared graphs and views of them. The sign-filter views hide negative
+// edges that join their positive components, so a peel worker that read a
+// hidden neighbor's heap slot would read another worker's component: run
+// under -race, this test is the proof that none does. Every answer must
+// equal the sequential one.
+func TestPeelLadderSharedViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	g := RandomSigned(rng, 300, 0.03, 5)
+	strip := []int{0, 7, 77, 150, 299}
+	graphs := []*graph.Graph{g, g.PositivePart(), g.WithoutVertices(strip), g.PositivePart().WithoutVertices(strip)}
+	wantPeel := make([]densest.Result, len(graphs))
+	wantTopK := make([][]core.ADResult, len(graphs))
+	for i, h := range graphs {
+		wantPeel[i] = densest.Greedy(h)
+		wantTopK[i] = core.TopKAverageDegree(h, 3)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, deg := range Degrees {
+				for j, h := range graphs {
+					got := densest.GreedyPar(h, deg)
+					if got.Density != wantPeel[j].Density || !reflect.DeepEqual(got.S, wantPeel[j].S) {
+						t.Errorf("graph %d degree %d: peel diverged from sequential", j, deg)
+						return
+					}
+					if top := core.TopKAverageDegreePar(h, 3, deg); !reflect.DeepEqual(top, wantTopK[j]) {
+						t.Errorf("graph %d degree %d: top-k diverged from sequential", j, deg)
+						return
+					}
 				}
 			}
 		}()
